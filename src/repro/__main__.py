@@ -347,9 +347,17 @@ def main(argv: list[str] | None = None) -> int:
             if options.baseline is not None:
                 with open(options.baseline, "r", encoding="utf-8") as fh:
                     baseline = json.load(fh)
-                failures = compare_to_baseline(
-                    report, baseline, max_regression=options.max_regression
-                )
+                try:
+                    failures = compare_to_baseline(
+                        report, baseline,
+                        max_regression=options.max_regression,
+                    )
+                except ValueError as exc:
+                    print(
+                        f"invalid baseline {options.baseline}: {exc}",
+                        file=sys.stderr,
+                    )
+                    return 1
                 for failure in failures:
                     print(f"REGRESSION: {failure}", file=sys.stderr)
                 if failures:
@@ -610,6 +618,9 @@ def _cmd_forge(options) -> int:
 
 
 def _cmd_serve(options) -> int:
+    """The fleet server on the public JSONL TCP surface: one in-process
+    :class:`FleetServer`, or with ``--shards N`` (N > 1) N forked
+    workers behind a :class:`ShardRouter`."""
     if options.study:
         from .experiments import server_study
 
@@ -619,34 +630,54 @@ def _cmd_serve(options) -> int:
             tenants=options.tenants,
             shards=options.shards,
         )
-    if options.shards > 1:
-        return _cmd_serve_sharded(options)
 
     import asyncio
 
     from .experiments.server_study import build_tenant_apps
-    from .serving import FleetServer, ModelRegistry, build_fleet, serve_tcp
+    from .serving import (
+        FleetServer,
+        ModelRegistry,
+        ShardRouter,
+        build_fleet,
+        serve_tcp,
+    )
 
-    registry = ModelRegistry(options.registry_dir)
-    tenants = build_fleet(
-        build_tenant_apps(options.tenants),
-        registry=registry,
-        refit_interval=options.refit_interval,
-    )
+    apps = build_tenant_apps(options.tenants)
     telemetry = _make_telemetry(options)
-    server = FleetServer(
-        tenants,
-        registry,
-        queue_bound=options.queue_bound,
-        telemetry=telemetry,
-    )
+    if options.shards > 1:
+        front = ShardRouter(
+            build_tenant_apps,
+            (options.tenants,),
+            shards=options.shards,
+            registry_dir=options.registry_dir,
+            refit_interval=options.refit_interval,
+            queue_bound=options.queue_bound,
+            telemetry=telemetry,
+            telemetry_path=options.telemetry,
+            host=options.host,
+        )
+        placement = f"across {options.shards} shard worker(s) "
+    else:
+        registry = ModelRegistry(options.registry_dir)
+        front = FleetServer(
+            build_fleet(
+                apps,
+                registry=registry,
+                refit_interval=options.refit_interval,
+            ),
+            registry,
+            queue_bound=options.queue_bound,
+            telemetry=telemetry,
+        )
+        placement = ""
 
     async def _run() -> int:
-        await server.start()
-        server.surface_startup()
-        tcp = await serve_tcp(server, options.host, options.port)
+        await front.start()
+        if isinstance(front, FleetServer):
+            front.surface_startup()
+        tcp = await serve_tcp(front, options.host, options.port)
         print(
-            f"repro serve: {len(tenants)} tenant(s) on "
+            f"repro serve: {len(apps)} tenant(s) {placement}on "
             f"{options.host}:{options.port} "
             f"(registry {options.registry_dir!r}); Ctrl-C to stop"
         )
@@ -656,64 +687,13 @@ def _cmd_serve(options) -> int:
         except asyncio.CancelledError:  # pragma: no cover - shutdown path
             pass
         finally:
-            await server.stop()
+            await front.stop()
         return 0
 
     try:
         return asyncio.run(_run())
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         print("repro serve: interrupted, models persisted")
-        return 0
-    finally:
-        if telemetry is not None:
-            telemetry.close()
-
-
-def _cmd_serve_sharded(options) -> int:
-    """The multi-process fleet: N forked workers behind the shard router,
-    exposed on the same public JSONL TCP surface as single-process
-    serve."""
-    import asyncio
-
-    from .experiments.server_study import build_tenant_apps
-    from .serving import ShardRouter
-    from .serving.server import serve_tcp
-
-    telemetry = _make_telemetry(options)
-    router = ShardRouter(
-        build_tenant_apps,
-        (options.tenants,),
-        shards=options.shards,
-        registry_dir=options.registry_dir,
-        refit_interval=options.refit_interval,
-        queue_bound=options.queue_bound,
-        telemetry=telemetry,
-        telemetry_path=options.telemetry,
-        host=options.host,
-    )
-
-    async def _run() -> int:
-        await router.start()
-        tcp = await serve_tcp(router, options.host, options.port)
-        print(
-            f"repro serve: {len(router._tenant_names)} tenant(s) across "
-            f"{options.shards} shard worker(s) on "
-            f"{options.host}:{options.port} "
-            f"(registry {options.registry_dir!r}); Ctrl-C to stop"
-        )
-        try:
-            async with tcp:
-                await tcp.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - shutdown path
-            pass
-        finally:
-            await router.stop()
-        return 0
-
-    try:
-        return asyncio.run(_run())
-    except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
-        print("repro serve: interrupted, shard models persisted")
         return 0
     finally:
         if telemetry is not None:

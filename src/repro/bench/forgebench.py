@@ -20,8 +20,7 @@ forge run:
 
 Results land in the ``datagen`` section of ``BENCH_vm.json`` (schema
 v5); CI's regression gate compares the fork speedup against the
-checked-in baseline. Baselines recorded before v5 have no ``datagen``
-section and are tolerated — the gate simply skips.
+checked-in baseline.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ import time
 from random import Random
 
 #: Batch sizes timed by the kernel bench; sizes >= _GATE_SIZE feed the
-#: gated geomean (16 is the serving layer's default ``batch_max``).
+#: gated geomean (16 is the serving layer's ``BATCH_MAX``).
 _BATCH_SIZES = (1, 16, 64, 256)
 _GATE_SIZE = 16
 

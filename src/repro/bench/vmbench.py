@@ -33,9 +33,8 @@ Results are emitted as a schema-checked ``BENCH_vm.json``. CI's regression
 gate compares the engine/reference **speedup ratios** (VM workloads,
 compiled-tier geomean, and learning geomean) against a checked-in baseline
 (``benchmarks/BENCH_baseline.json``) rather than absolute
-instructions/second, which would vary with runner hardware. Baselines
-recorded before a section existed (e.g. schema v3 has no compiled-tier
-numbers) are tolerated — the corresponding gate simply skips.
+instructions/second, which would vary with runner hardware. The baseline
+must validate against the current schema; an older one is rejected.
 """
 
 from __future__ import annotations
@@ -482,11 +481,15 @@ def compare_to_baseline(
 ) -> list[str]:
     """Regression check against a recorded baseline report.
 
-    Compares the machine-independent fast/reference speedup ratios (the
-    geomean and each workload) — not absolute instructions/second, which
-    depend on runner hardware. Returns a list of human-readable failures
-    (empty when within tolerance).
+    Compares machine-independent speedup ratios (each engine, the
+    learner, the batch kernel and the forked labeler against their
+    reference on the same runner, plus the serving overhead ratio) —
+    not absolute instructions/second, which depend on runner hardware.
+    The baseline must pass :func:`validate_bench_report`, so every gate
+    runs; an older-schema baseline raises ``ValueError``. Returns a list
+    of human-readable failures (empty when within tolerance).
     """
+    validate_bench_report(baseline)
     failures: list[str] = []
     floor = 1.0 - max_regression
     base_geo = baseline["speedup"]["geomean"]
@@ -508,70 +511,33 @@ def compare_to_baseline(
                 f"{row['name']} (level {row['level']}): speedup "
                 f"{row['speedup']:.2f}x vs baseline {base['speedup']:.2f}x"
             )
-    # Compiled-tier gate: geomean of compiled/reference speedups. Baselines
-    # recorded before schema v4 have no compiled numbers and are tolerated
-    # — the gate simply skips.
-    base_compiled = baseline.get("speedup_compiled")
-    if base_compiled is not None and "speedup_compiled" in report:
-        base_geo = base_compiled["geomean"]
-        new_geo = report["speedup_compiled"]["geomean"]
-        if new_geo < base_geo * floor:
+    # Higher-is-better geomean ratios: (label, path into the report).
+    for label, path in (
+        ("compiled speedup geomean", ("speedup_compiled", "geomean")),
+        ("learning speedup geomean", ("learning", "speedup", "geomean")),
+        ("batch kernel speedup geomean",
+         ("serving", "batch_kernel", "speedup", "geomean")),
+        ("fork labeling speedup", ("datagen", "fork", "speedup")),
+    ):
+        old, new = baseline, report
+        for key in path:
+            old, new = old[key], new[key]
+        if new < old * floor:
             failures.append(
-                f"compiled speedup geomean regressed: {new_geo:.2f}x vs "
-                f"baseline {base_geo:.2f}x (floor {base_geo * floor:.2f}x)"
-            )
-    base_learning = baseline.get("learning")
-    if base_learning is not None:
-        base_geo = base_learning["speedup"]["geomean"]
-        new_geo = report["learning"]["speedup"]["geomean"]
-        if new_geo < base_geo * floor:
-            failures.append(
-                f"learning speedup geomean regressed: {new_geo:.2f}x vs "
-                f"baseline {base_geo:.2f}x (floor {base_geo * floor:.2f}x)"
+                f"{label} regressed: {new:.2f}x vs baseline "
+                f"{old:.2f}x (floor {old * floor:.2f}x)"
             )
     # Serving gate: concurrent-over-serial wall ratio for the same stream
     # (lower is better; both sides measured on this runner, so the ratio
-    # is machine-independent). Baselines recorded before schema v3 have
-    # no serving section and are tolerated — the gate simply skips.
-    base_serving = baseline.get("serving")
-    if base_serving is not None and "serving" in report:
-        base_ratio = base_serving["overhead_ratio"]
-        new_ratio = report["serving"]["overhead_ratio"]
-        if new_ratio > base_ratio * (1.0 + max_regression):
-            failures.append(
-                f"serving overhead ratio regressed: {new_ratio:.2f} vs "
-                f"baseline {base_ratio:.2f} "
-                f"(ceiling {base_ratio * (1.0 + max_regression):.2f})"
-            )
-    # Batch-kernel gate: the batched inference kernel's speedup geomean
-    # over per-row predicts (both sides timed on the same forest and
-    # query matrix on this runner, so the ratio is machine-independent).
-    # Baselines recorded before schema v6 have no batch_kernel
-    # subsection and are tolerated — the gate simply skips.
-    base_kernel = (baseline.get("serving") or {}).get("batch_kernel")
-    new_kernel = (report.get("serving") or {}).get("batch_kernel")
-    if base_kernel is not None and new_kernel is not None:
-        base_geo = base_kernel["speedup"]["geomean"]
-        new_geo = new_kernel["speedup"]["geomean"]
-        if new_geo < base_geo * floor:
-            failures.append(
-                f"batch kernel speedup geomean regressed: {new_geo:.2f}x "
-                f"vs baseline {base_geo:.2f}x "
-                f"(floor {base_geo * floor:.2f}x)"
-            )
-    # Datagen gate: the forked labeler's speedup over independent-runs
-    # labeling (both sides timed on this runner, so the ratio is
-    # machine-independent). Baselines recorded before schema v5 have no
-    # datagen section and are tolerated — the gate simply skips.
-    base_datagen = baseline.get("datagen")
-    if base_datagen is not None and "datagen" in report:
-        base_fork = base_datagen["fork"]["speedup"]
-        new_fork = report["datagen"]["fork"]["speedup"]
-        if new_fork < base_fork * floor:
-            failures.append(
-                f"fork labeling speedup regressed: {new_fork:.2f}x vs "
-                f"baseline {base_fork:.2f}x (floor {base_fork * floor:.2f}x)"
-            )
+    # is machine-independent).
+    base_ratio = baseline["serving"]["overhead_ratio"]
+    new_ratio = report["serving"]["overhead_ratio"]
+    if new_ratio > base_ratio * (1.0 + max_regression):
+        failures.append(
+            f"serving overhead ratio regressed: {new_ratio:.2f} vs "
+            f"baseline {base_ratio:.2f} "
+            f"(ceiling {base_ratio * (1.0 + max_regression):.2f})"
+        )
     return failures
 
 
@@ -616,10 +582,8 @@ def format_report(report: dict) -> str:
     from .servebench import format_serving
 
     lines.extend(format_learning(report["learning"]))
-    if "serving" in report:
-        lines.extend(format_serving(report["serving"]))
-    if "datagen" in report:
-        lines.extend(format_datagen(report["datagen"]))
+    lines.extend(format_serving(report["serving"]))
+    lines.extend(format_datagen(report["datagen"]))
     return "\n".join(lines)
 
 

@@ -94,7 +94,6 @@ class EvolvableVM:
         default_gc_policy: str = DEFAULT_GC_POLICY,
         cache_translations: bool = False,
         learning_engine: str = "auto",
-        refit_jobs: int = 1,
         defer_refits: bool = False,
         engine: str = "auto",
         prior=None,
@@ -113,10 +112,8 @@ class EvolvableVM:
         self.jit = jit if jit is not None else JITCompiler(app.program, config)
         self.cost_benefit = CostBenefitModel(self.jit, config.sample_interval)
         #: Training-engine knob for the learning layer ("auto"/"fast"/
-        #: "reference", mirroring Interpreter(engine=)); refit_jobs > 1
-        #: fans the end-of-run model refits across worker processes.
+        #: "reference", mirroring Interpreter(engine=)).
         self.learning_engine = learning_engine
-        self.refit_jobs = refit_jobs
         #: Optional cross-program prior
         #: (:class:`~repro.learning.forge.prior.CrossProgramPrior`, or any
         #: object with ``predict_program(program, args) -> dict[str, int]``):
@@ -317,7 +314,7 @@ class EvolvableVM:
                 if self.defer_refits:
                     self.models.refit_methods(drifted)
             if not self.defer_refits:
-                self.models.refit_all(jobs=self.refit_jobs)
+                self.models.refit_all()
             outcome.predicted = scored
             outcome.ideal = ideal
             outcome.accuracy = accuracy

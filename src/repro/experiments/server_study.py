@@ -418,50 +418,62 @@ class FleetStudyResult:
         return self.wall_s / self.serial_wall_s if self.serial_wall_s else 0.0
 
 
-async def _serve_requests(
-    fleet,
-    registry,
-    requests: list[dict],
-    *,
-    queue_bound: int,
-    workers: int | None,
-    telemetry=None,
-    pace: int = 8,
-) -> tuple[dict[str, list[dict]], "object"]:
-    """Drive *requests* through a :class:`FleetServer` concurrently.
+#: Response fields that describe the request, not the tenant's answer.
+_ENVELOPE_FIELDS = frozenset({"status", "op", "id", "app", "wall_ms"})
+
+
+def _response_bodies(
+    requests: list[dict], responses: list[dict], names
+) -> dict[str, list[dict]]:
+    """Each tenant's served (status 200) response bodies, in order: the
+    deterministic part a serial replay must reproduce."""
+    by_tenant: dict[str, list[dict]] = {name: [] for name in names}
+    for request, response in zip(requests, responses):
+        if response["status"] == 200:
+            by_tenant[request["app"]].append({
+                k: v for k, v in response.items()
+                if k not in _ENVELOPE_FIELDS
+            })
+    return by_tenant
+
+
+#: Submissions between the studies' yields to the event loop.
+_PACE = 8
+
+
+async def _submit_paced(front, requests: list[dict]) -> list[dict]:
+    """Submit *requests* to a :class:`~repro.serving.server.FleetServer`
+    or :class:`~repro.serving.shards.ShardRouter` and gather the answers.
 
     Submission order is the stream order (per-tenant arrival order is
-    deterministic); every *pace* submissions the driver yields to the
+    deterministic); every :data:`_PACE` submissions it yields to the
     event loop so workers interleave with admission, like live traffic.
     """
+    futures = []
+    for i, request in enumerate(requests):
+        futures.append(front.submit_nowait(request))
+        if (i + 1) % _PACE == 0:
+            await asyncio.sleep(0)
+    return list(await asyncio.gather(*futures))
+
+
+async def _serve_requests(
+    fleet, registry, requests: list[dict], *, queue_bound: int,
+    telemetry=None,
+) -> tuple[dict[str, list[dict]], "object"]:
+    """Drive *requests* through a :class:`FleetServer` concurrently."""
     from ..serving.server import FleetServer
 
     server = FleetServer(
-        fleet,
-        registry,
-        queue_bound=queue_bound,
-        workers=workers,
-        telemetry=telemetry,
+        fleet, registry, queue_bound=queue_bound, telemetry=telemetry
     )
     await server.start()
-    futures = []
-    for i, request in enumerate(requests):
-        futures.append(server.submit_nowait(request))
-        if pace and (i + 1) % pace == 0:
-            await asyncio.sleep(0)
-    responses = await asyncio.gather(*futures)
+    responses = await _submit_paced(server, requests)
     await server.stop(persist=registry.root is not None)
-    by_tenant: dict[str, list[dict]] = {t.name: [] for t in fleet}
-    for request, response in zip(requests, responses):
-        if response["status"] != 200:
-            continue
-        payload = {
-            k: v
-            for k, v in response.items()
-            if k not in ("status", "op", "id", "app", "wall_ms")
-        }
-        by_tenant[request["app"]].append(payload)
-    return by_tenant, server
+    return (
+        _response_bodies(requests, responses, [t.name for t in fleet]),
+        server,
+    )
 
 
 async def _overload_burst(
@@ -481,7 +493,7 @@ async def _overload_burst(
     fleet, registry = _build_study_fleet(
         tenants, None, refit_interval, config
     )
-    server = FleetServer(fleet, registry, queue_bound=queue_bound, workers=2)
+    server = FleetServer(fleet, registry, queue_bound=queue_bound)
     await server.start()
     futures = []
     for tenant in fleet:
@@ -531,7 +543,6 @@ def run_fleet_study(
     *,
     refit_interval: int = 20,
     queue_bound: int | None = None,
-    workers: int | None = None,
     registry_dir: str | None = None,
     telemetry=None,
     config: VMConfig = DEFAULT_CONFIG,
@@ -576,7 +587,6 @@ def run_fleet_study(
                 registry,
                 stream,
                 queue_bound=bound,
-                workers=workers,
                 telemetry=telemetry,
             )
         )
@@ -684,7 +694,6 @@ async def _serve_requests_sharded(
     queue_bound: int,
     kill_at: int | None = None,
     kill_shard: int | None = None,
-    pace: int = 8,
 ) -> tuple[dict[str, list[dict]], "object"]:
     """Drive *stream* through a :class:`~repro.serving.shards.ShardRouter`.
 
@@ -707,40 +716,17 @@ async def _serve_requests_sharded(
         queue_bound=queue_bound,
     )
     await router.start()
-    responses: list[dict] = []
+    cut = len(stream) if kill_at is None else kill_at
     try:
-        cut = len(stream) if kill_at is None else kill_at
-        futures = []
-        for i, request in enumerate(stream[:cut]):
-            futures.append(router.submit_nowait(request))
-            if pace and (i + 1) % pace == 0:
-                await asyncio.sleep(0)
-        responses.extend(await asyncio.gather(*futures))
+        responses = await _submit_paced(router, stream[:cut])
         if kill_at is not None:
             await router.sync()
             router.kill_shard(kill_shard)
             await router.wait_respawn(kill_shard)
-            futures = []
-            for i, request in enumerate(stream[cut:]):
-                futures.append(router.submit_nowait(request))
-                if pace and (i + 1) % pace == 0:
-                    await asyncio.sleep(0)
-            responses.extend(await asyncio.gather(*futures))
+            responses += await _submit_paced(router, stream[cut:])
     finally:
         await router.stop()
-    by_tenant: dict[str, list[dict]] = {
-        name: [] for name in router._tenant_names
-    }
-    for request, response in zip(stream, responses):
-        if response["status"] != 200:
-            continue
-        payload = {
-            k: v
-            for k, v in response.items()
-            if k not in ("status", "op", "id", "app", "wall_ms")
-        }
-        by_tenant[request["app"]].append(payload)
-    return by_tenant, router
+    return _response_bodies(stream, responses, router._tenant_names), router
 
 
 def run_sharded_study(

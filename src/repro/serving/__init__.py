@@ -3,8 +3,8 @@
 This package turns the batch reproduction into a serving system: a pool
 of resident :class:`~repro.core.evolvable.EvolvableVM` tenants behind an
 asyncio front end (`repro serve`), with a crash-safe per-application
-model registry, shared JIT-artifact and prediction-result caches,
-predict batching, hot model swap, and queue-bound admission control.
+model registry, a shared JIT-artifact cache, batched predicts, hot
+model swap, and queue-bound admission control.
 ``docs/serving.md`` documents the architecture, the request/response
 schema, and the operator runbook.
 """

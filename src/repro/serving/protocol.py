@@ -8,9 +8,10 @@ fully machine-readable — every response carries an HTTP-flavored
 Request fields:
 
 - ``op`` — ``"run"`` (execute the tenant's application once and learn
-  from it), ``"predict"`` (strategy prediction only: one flattened-forest
-  pass, no execution, no training), ``"swap"`` (force an offline refit +
-  atomic model-generation flip), ``"stats"`` (server introspection).
+  from it), ``"predict"`` (strategy prediction only: one batch-kernel
+  pass over the forest, no execution, no training), ``"swap"`` (force an
+  offline refit + atomic model-generation flip), ``"stats"`` (server
+  introspection).
 - ``app`` — tenant name (required for ``run``/``predict``/``swap``).
 - ``cmdline`` — the application command line (``run``/``predict``).
 - ``id`` — opaque client correlation token, echoed back verbatim.
@@ -132,8 +133,14 @@ def error_response(request: dict, exc: BaseException) -> dict:
 # ---------------------------------------------------------------------------
 
 def encode_line(obj: dict) -> bytes:
-    """One message, one line (sorted keys: byte-stable for tests/logs)."""
-    return (json.dumps(obj, sort_keys=True) + "\n").encode("utf-8")
+    """One message, one line (sorted keys: byte-stable for tests/logs).
+
+    VM results are plain values for every shipped tenant app; anything
+    that is not JSON degrades to its ``repr``.
+    """
+    return (json.dumps(obj, sort_keys=True, default=repr) + "\n").encode(
+        "utf-8"
+    )
 
 
 def decode_line(line: bytes) -> dict | None:

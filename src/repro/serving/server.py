@@ -14,13 +14,14 @@ Architecture (``docs/serving.md`` has the operator-facing picture):
   and emitted as a ``serve_shed`` telemetry event. Shedding never blocks
   the event loop and never touches tenant state, so accepted traffic
   stays deterministic.
-- **Predict batching**: consecutive ``predict`` requests waiting in a
-  tenant's queue are drained into one batch and answered in a single
-  worker hop by one batched kernel call
-  (:meth:`~repro.core.model_builder.ModelBuilder.predict_all_batch`,
-  bit-identical to per-row ``predict_all``) — batching amortizes both
-  dispatch and tree traversal, and cannot reorder ops. Per-hop batch
-  sizes land in ``ServerStats.to_dict()`` and ``serve_batch`` telemetry.
+- **One predict path**: consecutive ``predict`` requests waiting in a
+  tenant's queue (up to :data:`BATCH_MAX`) are drained into one hop,
+  and every hop — a lone predict too — is answered by
+  :meth:`Tenant.predict_batch`, one compiled batch-kernel call
+  (:meth:`~repro.core.model_builder.ModelBuilder.predict_all_batch`).
+  Batching amortizes both dispatch and tree traversal, and cannot
+  reorder ops. Per-hop batch sizes land in ``ServerStats.to_dict()``;
+  hops of more than one predict also emit ``serve_batch`` telemetry.
 - **Hot swap**: after ``refit_interval`` runs (or an explicit ``swap``
   request) the tenant refits offline and flips its compiled forest
   pointer atomically; requests already executing finish on the old
@@ -30,10 +31,6 @@ Architecture (``docs/serving.md`` has the operator-facing picture):
   degraded — :meth:`FleetServer.surface_startup` prints the registry's
   :class:`~repro.resilience.degradation.DegradationReport` summary on
   stderr and emits ``serve_degradation`` + ``serve_start`` telemetry.
-
-The offline side of a swap reuses the existing process-pool engine:
-``refit_all(jobs=N)`` fans per-method tree construction through
-:func:`~repro.experiments.parallel.map_parallel`.
 """
 
 from __future__ import annotations
@@ -58,7 +55,7 @@ from .registry import ModelRegistry
 from .tenant import Tenant
 
 #: Upper bound on predicts answered in one batched worker hop.
-DEFAULT_BATCH_MAX = 16
+BATCH_MAX = 16
 
 
 @dataclass
@@ -123,15 +120,11 @@ class FleetServer:
         registry: ModelRegistry,
         *,
         queue_bound: int = 128,
-        batch_max: int = DEFAULT_BATCH_MAX,
-        workers: int | None = None,
         telemetry: TelemetryLog | None = None,
     ):
         self.tenants = {tenant.name: tenant for tenant in tenants}
         self.registry = registry
         self.queue_bound = queue_bound
-        self.batch_max = max(1, batch_max)
-        self.workers = workers
         self.telemetry = telemetry
         self.stats = ServerStats()
         self._queues: dict[str, asyncio.Queue] = {}
@@ -144,7 +137,7 @@ class FleetServer:
         if self._started:
             return
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers or max(2, len(self.tenants)),
+            max_workers=max(2, len(self.tenants)),
             thread_name_prefix="fleet",
         )
         for name, tenant in self.tenants.items():
@@ -290,7 +283,7 @@ class FleetServer:
             # Batch consecutive predicts already waiting in the queue.
             if request["op"] == "predict":
                 while (
-                    len(batch) < self.batch_max
+                    len(batch) < BATCH_MAX
                     and not queue.empty()
                     and queue._queue[0][0].get("op") == "predict"
                 ):
@@ -303,28 +296,29 @@ class FleetServer:
 
     async def _execute_batch(self, loop, tenant: Tenant, batch, queue) -> None:
         op = batch[0][0]["op"]
-        if op == "predict":
-            # Every predict hop lands in the batch-size distribution —
-            # a solo predict is a hop of size 1 — so the stats surface
-            # shows how much of the stream actually batches.
-            self.stats.note_batch(len(batch))
         try:
-            if op == "predict" and len(batch) > 1:
-                cmdlines = [request["cmdline"] for request, _, _ in batch]
+            if op == "predict":
+                # Every predict hop lands in the batch-size distribution
+                # — a solo predict is a hop of size 1 — so the stats
+                # surface shows how much of the stream actually batches.
+                self.stats.note_batch(len(batch))
                 payloads = await loop.run_in_executor(
-                    self._executor, tenant.predict_batch, cmdlines
+                    self._executor,
+                    tenant.predict_batch,
+                    [request["cmdline"] for request, _, _ in batch],
                 )
-                self.stats.batches += 1
-                self.stats.batched_predicts += len(batch)
-                if self.telemetry is not None:
-                    self.telemetry.append(
-                        serve_event(
-                            "serve_batch",
-                            app=tenant.name,
-                            size=len(batch),
-                            queue_depth=queue.qsize(),
+                if len(batch) > 1:
+                    self.stats.batches += 1
+                    self.stats.batched_predicts += len(batch)
+                    if self.telemetry is not None:
+                        self.telemetry.append(
+                            serve_event(
+                                "serve_batch",
+                                app=tenant.name,
+                                size=len(batch),
+                                queue_depth=queue.qsize(),
+                            )
                         )
-                    )
             else:
                 payloads = [
                     await loop.run_in_executor(
@@ -381,8 +375,6 @@ class FleetServer:
         op = request["op"]
         if op == "run":
             return tenant.run(request["cmdline"], request.get("seed"))
-        if op == "predict":
-            return tenant.predict(request["cmdline"])
         if op == "swap":
             return self._swap_sync(tenant)
         raise ValueError(f"unroutable op {op!r}")
@@ -437,21 +429,10 @@ async def serve_tcp(
                     )
                 else:
                     response = await server.submit(request)
-                writer.write(encode_line(_json_safe(response)))
+                writer.write(encode_line(response))
                 await writer.drain()
         finally:
             writer.close()
 
     return await asyncio.start_server(handle, host, port)
 
-
-def _json_safe(obj):
-    """Best-effort JSON projection (VM results are plain values for every
-    shipped tenant app; anything exotic degrades to ``repr``)."""
-    import json
-
-    try:
-        json.dumps(obj)
-        return obj
-    except (TypeError, ValueError):
-        return json.loads(json.dumps(obj, default=repr))

@@ -59,7 +59,7 @@ from .protocol import (
     unknown_tenant_response,
     validate_request,
 )
-from .server import DEFAULT_BATCH_MAX, FleetServer
+from .server import FleetServer
 
 #: Seconds a worker gets to report its port before spawn fails.
 SPAWN_TIMEOUT_S = 60.0
@@ -106,7 +106,7 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
             if rid is not None:
                 response["rid"] = rid
             async with write_lock:
-                writer.write(encode_line(_json_safe(response)))
+                writer.write(encode_line(response))
                 await writer.drain()
 
         def spawn_reply(rid, future) -> None:
@@ -138,12 +138,8 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
                     spawn_reply(rid, future)
                 elif request.get("op") == SHARD_SHUTDOWN_OP:
                     await server.stop(persist=True)
-                    payload = server._stats_payload()
-                    payload["server"]["latencies_ms"] = (
-                        server.stats.latencies_ms
-                    )
                     await reply(rid, _ready(loop, ok_response(
-                        request, **payload
+                        request, **server._stats_payload()
                     )))
                     if not finished.done():
                         finished.set_result(None)
@@ -163,16 +159,6 @@ def _ready(loop, value) -> asyncio.Future:
     future = loop.create_future()
     future.set_result(value)
     return future
-
-
-def _json_safe(obj):
-    import json
-
-    try:
-        json.dumps(obj)
-        return obj
-    except (TypeError, ValueError):
-        return json.loads(json.dumps(obj, default=repr))
 
 
 def shard_worker_main(factory, factory_args, shard_index: int,
@@ -214,14 +200,11 @@ async def _shard_worker_async(factory, factory_args, shard_index,
         registry=registry,
         config=options["config"],
         refit_interval=options.get("refit_interval", 25),
-        refit_jobs=1,  # daemonized worker: no grandchild processes
     )
     server = FleetServer(
         fleet,
         registry,
         queue_bound=options.get("queue_bound", 128),
-        batch_max=options.get("batch_max", DEFAULT_BATCH_MAX),
-        workers=options.get("workers"),
         telemetry=telemetry,
     )
     await server.start()
@@ -286,8 +269,6 @@ class ShardRouter:
         config=None,
         refit_interval: int | None = 25,
         queue_bound: int = 128,
-        batch_max: int = DEFAULT_BATCH_MAX,
-        workers: int | None = None,
         telemetry=None,
         telemetry_path: str | None = None,
         host: str = "127.0.0.1",
@@ -307,8 +288,6 @@ class ShardRouter:
             "config": config if config is not None else DEFAULT_CONFIG,
             "refit_interval": refit_interval,
             "queue_bound": queue_bound,
-            "batch_max": batch_max,
-            "workers": workers,
             "telemetry_path": telemetry_path,
             "host": host,
         }
@@ -526,7 +505,7 @@ class ShardRouter:
         """Drain + persist every worker, merge telemetry, reap processes.
 
         Returns the merged final stats payload (same shape as the
-        ``stats`` op, plus per-shard ``latencies_ms``).
+        ``stats`` op).
         """
         self._stopping = True
         responses = []
@@ -598,7 +577,6 @@ def _merge_stats_payloads(responses: list[dict]) -> dict:
     hops = 0
     size_sum = 0.0
     size_max = 0
-    latencies: list[float] = []
     tenants: dict = {}
     registries: list[dict] = []
     for response in responses:
@@ -611,7 +589,6 @@ def _merge_stats_payloads(responses: list[dict]) -> dict:
         hops += dist.get("count", 0)
         size_sum += dist.get("mean", 0.0) * dist.get("count", 0)
         size_max = max(size_max, dist.get("max", 0))
-        latencies.extend(part.get("latencies_ms", ()))
         tenants.update(response.get("tenants", {}))
         if response.get("registry"):
             registries.append(response["registry"])
@@ -620,8 +597,6 @@ def _merge_stats_payloads(responses: list[dict]) -> dict:
         "max": size_max,
         "mean": (size_sum / hops) if hops else 0.0,
     }
-    if latencies:
-        server["latencies_ms"] = latencies
     registry = {
         "registry": registries[0].get("registry") if registries else None,
         "tenants": sorted(

@@ -8,8 +8,7 @@ learner), but — unlike the batch Figure-7 loop — the end-of-run
 still observe their posterior ideal strategies and update confidence;
 model construction happens only at an explicit **swap** point:
 
-    swap = offline ``refit_all`` (optionally fanned across processes via
-    ``map_parallel``) + one atomic flip of the compiled
+    swap = offline ``refit_all`` + one atomic flip of the compiled
     :class:`~repro.learning.flat.FlatForest` pointer + a registry
     generation bump + a crash-safe state save.
 
@@ -17,30 +16,27 @@ The flip is a single attribute assignment of a fully-built immutable
 forest, so a prediction in flight reads either the old generation or the
 new one, never a half-swapped model (a test hammers this from threads).
 
-Tenants share two caches fleet-wide:
+A tenant answers every predict one way: :meth:`Tenant.predict_batch`
+featurizes each distinct cmdline of the hop and answers them all with one
+compiled batch-kernel call
+(:meth:`~repro.core.model_builder.ModelBuilder.predict_all_batch`). A
+lone predict is a batch of one. Nothing is memoized across hops, so an
+answer always comes from the live forest — including trees a drift
+firing refit inside :meth:`Tenant.run`.
 
-- the **JIT artifact cache** (:mod:`repro.vm.opt.artifact_cache`): every
-  tenant's compiler publishes into one store, so a method shape compiled
-  for one tenant warms every other tenant with the same program;
-- the **prediction result cache** (the telemetry-layer
-  :class:`~repro.experiments.telemetry.ResultCache`): ``predict``
-  responses are memoized keyed by *(tenant, model fingerprint, cmdline)*.
-  The fingerprint is content-addressed (a digest of the serialized
-  training state at the last swap), so entries survive restarts and can
-  never serve a stale model's answer — a new generation simply misses.
+Tenants share one cache fleet-wide, the **JIT artifact cache**
+(:mod:`repro.vm.opt.artifact_cache`): every tenant's compiler publishes
+into one store, so a method shape compiled for one tenant warms every
+other tenant with the same program.
 """
 
 from __future__ import annotations
-
-import hashlib
-import json
 
 from collections import deque
 
 from ..core.application import Application
 from ..core.evolvable import EvolvableVM, RunOutcome
 from ..core.records import restore_state, state_to_dict
-from ..experiments.telemetry import CacheKey, ResultCache
 from ..resilience.quarantine import quarantine_file
 from ..vm.config import DEFAULT_CONFIG, VMConfig
 from ..vm.opt.artifact_cache import JITArtifactCache
@@ -82,9 +78,7 @@ class Tenant:
         registry: ModelRegistry,
         config: VMConfig = DEFAULT_CONFIG,
         artifact_cache: JITArtifactCache | None = None,
-        predict_cache: ResultCache | None = None,
         refit_interval: int | None = 25,
-        refit_jobs: int = 1,
         probation_window: int | None = 8,
         probation_margin: float = 0.15,
         max_rollbacks: int = 2,
@@ -93,7 +87,6 @@ class Tenant:
         self.app = app
         self.name = app.name
         self.registry = registry
-        self.predict_cache = predict_cache
         self.refit_interval = refit_interval
         #: Post-swap accuracy probation (``docs/robustness.md``, "Drift
         #: and rollback"): the first *probation_window* learned runs of a
@@ -113,16 +106,16 @@ class Tenant:
             jit=jit,
             cache_translations=True,
             defer_refits=True,
-            refit_jobs=refit_jobs,
             **vm_kwargs,
         )
         restored = registry.load_into(self.vm)
-        self._fingerprint = self._model_fingerprint() if restored else "cold"
         #: Runs observed since the last swap (drives auto-swap policy).
         self.runs_since_swap = 0
         self.runs_total = 0
         self.predicts_total = 0
         self.swaps_total = 0
+        #: Predicts answered from an earlier identical cmdline in the
+        #: same hop (see :meth:`predict_batch`).
         self.predict_cache_hits = 0
         self.rollbacks_total = 0
         self.retrains_total = 0
@@ -146,13 +139,6 @@ class Tenant:
     def generation(self) -> int:
         return self.registry.generations.get(self.name, 0)
 
-    def _model_fingerprint(self) -> str:
-        """Content digest of the deployed model's training state."""
-        payload = json.dumps(
-            state_to_dict(self.vm), sort_keys=True
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()[:24]
-
     # -- ops (always called from the tenant's single serialized worker) -----
     def run(self, cmdline: str, seed: int | None = None) -> dict:
         """Execute once, learn (observation only — no refit), and report.
@@ -174,81 +160,44 @@ class Tenant:
         return payload
 
     def predict(self, cmdline: str) -> dict:
-        """Strategy prediction only: one flattened-forest pass
-        (:meth:`~repro.core.model_builder.ModelBuilder.predict_all`), no
-        execution, no training. Memoized in the shared result cache."""
-        self.predicts_total += 1
-        cached = self._predict_cached(cmdline)
-        if cached is not None:
-            self.predict_cache_hits += 1
-            return self._predict_response(cached)
-        if self.vm.translator is None:
-            levels = {}  # no XICL spec: nothing to featurize or predict
-        else:
-            tokens = self.app.split_cmdline(cmdline)
-            fvector = self.vm.translator.build_fvector(tokens)
-            levels = {
-                method: int(label)
-                for method, label in self.vm.models.predict_all(
-                    fvector
-                ).items()
-            }
-            self._predict_store(cmdline, levels)
-        return self._predict_response(levels)
+        """Strategy prediction only, for one cmdline: a batch of one."""
+        return self.predict_batch([cmdline])[0]
 
     def predict_batch(self, cmdlines: list[str]) -> list[dict]:
-        """One executor hop, one batched kernel call, for a whole batch.
+        """Answer a hop of predicts with one batched kernel call.
 
-        Cache hits answer from the shared result cache exactly as
-        :meth:`predict` would; the misses — deduplicated, since a
-        repeated cmdline later in the batch would have hit the entry its
-        first occurrence stored — are featurized and answered by a
-        single
+        Each distinct cmdline is featurized once; the whole hop is
+        answered by a single
         :meth:`~repro.core.model_builder.ModelBuilder.predict_all_batch`
-        kernel call. Responses and counters (``predicts_total``,
-        ``predict_cache_hits``) are bit-identical to calling
-        :meth:`predict` per cmdline in order: prediction mutates nothing
-        the later entries of the batch could observe.
+        call. A repeated cmdline reuses its first occurrence's levels
+        and counts in ``predict_cache_hits``. Prediction mutates no
+        model state, so responses are bit-identical to answering the
+        cmdlines one at a time, in order. No execution, no training.
         """
-        results: list[dict | None] = [None] * len(cmdlines)
-        misses: dict[str, list[int]] = {}
-        for i, cmdline in enumerate(cmdlines):
-            self.predicts_total += 1
-            cached = self._predict_cached(cmdline)
-            if cached is not None:
-                self.predict_cache_hits += 1
-                results[i] = self._predict_response(cached)
-            elif cmdline in misses:
-                # Per-row replay would hit the cache entry the first
-                # occurrence just stored.
-                if self.predict_cache is not None:
-                    self.predict_cache_hits += 1
-                misses[cmdline].append(i)
-            else:
-                misses[cmdline] = [i]
-        if misses:
-            if self.vm.translator is None:
-                for positions in misses.values():
-                    for i in positions:
-                        results[i] = self._predict_response({})
-            else:
-                order = list(misses)
-                fvectors = [
-                    self.vm.translator.build_fvector(
-                        self.app.split_cmdline(cmdline)
-                    )
-                    for cmdline in order
-                ]
-                batched = self.vm.models.predict_all_batch(fvectors)
-                for cmdline, labels in zip(order, batched):
-                    levels = {
-                        method: int(label)
-                        for method, label in labels.items()
-                    }
-                    self._predict_store(cmdline, levels)
-                    for i in misses[cmdline]:
-                        results[i] = self._predict_response(levels)
-        return results
+        distinct = list(dict.fromkeys(cmdlines))
+        self.predicts_total += len(cmdlines)
+        self.predict_cache_hits += len(cmdlines) - len(distinct)
+        if self.vm.translator is None:
+            # No XICL spec: nothing to featurize or predict.
+            levels = {cmdline: {} for cmdline in distinct}
+        else:
+            fvectors = [
+                self.vm.translator.build_fvector(
+                    self.app.split_cmdline(cmdline)
+                )
+                for cmdline in distinct
+            ]
+            levels = {
+                cmdline: {
+                    method: int(label) for method, label in labels.items()
+                }
+                for cmdline, labels in zip(
+                    distinct, self.vm.models.predict_all_batch(fvectors)
+                )
+            }
+        return [
+            self._predict_response(levels[cmdline]) for cmdline in cmdlines
+        ]
 
     def _predict_response(self, levels: dict) -> dict:
         return {
@@ -272,9 +221,8 @@ class Tenant:
             if self._recent_acc
             else None
         )
-        self.vm.models.refit_all(jobs=self.vm.refit_jobs)
+        self.vm.models.refit_all()
         generation = self.registry.note_swap(self.name)
-        self._fingerprint = self._model_fingerprint()
         saved = self.registry.save(self.vm)
         runs = self.runs_since_swap
         self.runs_since_swap = 0
@@ -359,7 +307,6 @@ class Tenant:
         self._consecutive_rollbacks += 1
         restore_state(self.vm, self._last_good)
         generation = self.registry.note_rollback(self.name)
-        self._fingerprint = self._model_fingerprint()
         self.registry.save(self.vm)
         report.record(
             "serving", "rollback", "probation-failed",
@@ -400,11 +347,10 @@ class Tenant:
             )
         for method in self.vm.models.method_names:
             self.vm.models.trim_method_history(method, self.vm.drift_window)
-        self.vm.models.refit_all(jobs=self.vm.refit_jobs)
+        self.vm.models.refit_all()
         if self.vm.drift is not None:
             self.vm.drift.reset()
         generation = self.registry.note_swap(self.name)
-        self._fingerprint = self._model_fingerprint()
         self.registry.save(self.vm)
         report.record(
             "serving", "forced-retrain", "repeated-rollbacks",
@@ -429,29 +375,6 @@ class Tenant:
                 "runs": 0,
                 "acc_sum": 0.0,
             }
-
-    # -- shared predict-result cache ----------------------------------------
-    def _predict_key(self, cmdline: str) -> CacheKey:
-        digest = hashlib.sha256(
-            f"{self._fingerprint}|{cmdline}".encode("utf-8")
-        ).hexdigest()[:24]
-        return CacheKey(
-            benchmark=self.name,
-            scenario="predict",
-            start=0,
-            stop=0,
-            seed=0,
-            digest=digest,
-        )
-
-    def _predict_cached(self, cmdline: str) -> dict | None:
-        if self.predict_cache is None:
-            return None
-        return self.predict_cache.get(self._predict_key(cmdline))
-
-    def _predict_store(self, cmdline: str, levels: dict) -> None:
-        if self.predict_cache is not None:
-            self.predict_cache.put(self._predict_key(cmdline), levels)
 
     def stats(self) -> dict:
         return {
@@ -478,51 +401,22 @@ def build_fleet(
     *,
     registry: ModelRegistry,
     config: VMConfig = DEFAULT_CONFIG,
-    jit_cache_dir: str | None = None,
-    predict_cache_dir: str | None = None,
     refit_interval: int | None = 25,
-    refit_jobs: int = 1,
-    engine: str = "auto",
-    prior=None,
-    probation_window: int | None = 8,
-    probation_margin: float = 0.15,
-    max_rollbacks: int = 2,
 ) -> list[Tenant]:
-    """Assemble resident tenants over one shared pair of caches.
-
-    The JIT artifact cache and the predict result cache are each a single
-    instance handed to every tenant; passing ``None`` directories keeps
-    them memory-only / disabled respectively. *engine* selects each
-    resident VM's execution engine
-    (see :class:`~repro.vm.interpreter.Interpreter`). *prior* is an
-    optional shared cross-program prior
-    (:class:`~repro.learning.forge.prior.CrossProgramPrior`): tenants
-    admitted cold — no registry state yet — start from its per-method
-    advice instead of unguided reactive optimization.
-    """
+    """Assemble resident tenants over one shared in-memory JIT artifact
+    cache. Options a caller needs per tenant (an execution engine, a
+    cross-program prior, probation settings) go to :class:`Tenant`."""
     names = [app.name for app in apps]
     if len(set(names)) != len(names):
         raise ValueError(f"duplicate tenant names in fleet: {names}")
-    artifact_cache = JITArtifactCache(jit_cache_dir)
-    predict_cache = (
-        ResultCache(predict_cache_dir, report=registry.report)
-        if predict_cache_dir is not None
-        else None
-    )
+    artifact_cache = JITArtifactCache()
     return [
         Tenant(
             app,
             registry=registry,
             config=config,
             artifact_cache=artifact_cache,
-            predict_cache=predict_cache,
             refit_interval=refit_interval,
-            refit_jobs=refit_jobs,
-            engine=engine,
-            prior=prior,
-            probation_window=probation_window,
-            probation_margin=probation_margin,
-            max_rollbacks=max_rollbacks,
         )
         for app in apps
     ]

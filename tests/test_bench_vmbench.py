@@ -248,28 +248,12 @@ def test_compiled_within_tolerance():
     assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
-def test_compiled_gate_tolerates_v3_baseline():
-    # A pre-compiled-tier (schema 3) baseline simply has no compiled gate.
-    report = synthetic_report(compiled_speedup=1.0)
-    baseline = synthetic_report()
-    del baseline["speedup_compiled"]
-    assert compare_to_baseline(report, baseline, max_regression=0.20) == []
-
-
 def test_learning_regression_detected():
     report = synthetic_report(learn_speedup=2.0)
     baseline = synthetic_report(learn_speedup=5.0)
     failures = compare_to_baseline(report, baseline, max_regression=0.20)
     assert failures
     assert all("learning" in failure for failure in failures)
-
-
-def test_learning_gate_tolerates_v1_baseline():
-    # A pre-learning (schema 1) baseline simply has no learning gate.
-    report = synthetic_report(learn_speedup=2.0)
-    baseline = synthetic_report()
-    del baseline["learning"]
-    assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
 def test_serving_regression_detected():
@@ -288,14 +272,6 @@ def test_serving_within_tolerance():
     assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
-def test_serving_gate_tolerates_v2_baseline():
-    # A pre-serving (schema 2) baseline simply has no serving gate.
-    report = synthetic_report(overhead_ratio=5.0)
-    baseline = synthetic_report()
-    del baseline["serving"]
-    assert compare_to_baseline(report, baseline, max_regression=0.20) == []
-
-
 def test_batch_kernel_regression_detected():
     report = synthetic_report(kernel_speedup=1.5)
     baseline = synthetic_report(kernel_speedup=3.0)
@@ -308,14 +284,6 @@ def test_batch_kernel_within_tolerance():
     report = synthetic_report(kernel_speedup=2.6)
     baseline = synthetic_report(kernel_speedup=3.0)
     # 2.6 >= 3.0 * 0.8 → fine.
-    assert compare_to_baseline(report, baseline, max_regression=0.20) == []
-
-
-def test_batch_kernel_gate_tolerates_v5_baseline():
-    # A pre-batching (schema 5) baseline simply has no batch-kernel gate.
-    report = synthetic_report(kernel_speedup=1.0)
-    baseline = synthetic_report()
-    del baseline["serving"]["batch_kernel"]
     assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
@@ -334,12 +302,25 @@ def test_datagen_within_tolerance():
     assert compare_to_baseline(report, baseline, max_regression=0.20) == []
 
 
-def test_datagen_gate_tolerates_v4_baseline():
-    # A pre-forge (schema 4) baseline simply has no datagen gate.
-    report = synthetic_report(fork_speedup=1.0)
+@pytest.mark.parametrize(
+    "version, drop",
+    [
+        (1, lambda r: r.pop("learning")),
+        (2, lambda r: r.pop("serving")),
+        (3, lambda r: r.pop("speedup_compiled")),
+        (4, lambda r: r.pop("datagen")),
+        (5, lambda r: r["serving"].pop("batch_kernel")),
+    ],
+    ids=["v1", "v2", "v3", "v4", "v5"],
+)
+def test_pre_v6_baseline_rejected(version, drop):
+    # Each old schema lacks the section its successor added; comparing
+    # against it must fail loudly, not skip that gate.
     baseline = synthetic_report()
-    del baseline["datagen"]
-    assert compare_to_baseline(report, baseline, max_regression=0.20) == []
+    baseline["schema_version"] = version
+    drop(baseline)
+    with pytest.raises(ValueError):
+        compare_to_baseline(synthetic_report(), baseline)
 
 
 def test_checked_in_baseline_is_valid():

@@ -400,14 +400,12 @@ class TestColdStart:
         for method in fitted:
             assert method in merged.levels
 
-    def test_build_fleet_passes_prior(self, prior, tmp_path):
+    def test_tenant_passes_prior(self, prior, tmp_path):
         from repro.serving.registry import ModelRegistry
-        from repro.serving.tenant import build_fleet
+        from repro.serving.tenant import Tenant
 
         registry = ModelRegistry(str(tmp_path / "registry"))
-        tenants = build_fleet(
-            [build_server_app()], registry=registry, prior=prior
-        )
-        assert tenants[0].vm.prior is prior
-        payload = tenants[0].run("-e search -b 8192")
+        tenant = Tenant(build_server_app(), registry=registry, prior=prior)
+        assert tenant.vm.prior is prior
+        payload = tenant.run("-e search -b 8192")
         assert payload["applied_prediction"] is True

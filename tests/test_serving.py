@@ -1,4 +1,4 @@
-"""Serving-surface tests: wire schema, registry, startup surfacing, caches.
+"""Serving-surface tests: wire schema, registry, startup surfacing, predicts.
 
 The contracts under test (docs/serving.md):
 
@@ -8,9 +8,8 @@ The contracts under test (docs/serving.md):
   envelope: corruption quarantines and cold-starts, never crashes, and
   ``repro serve`` surfaces a degraded registry loudly (stderr +
   ``serve_degradation`` telemetry) instead of booting silently empty;
-- the shared predict-result cache is content-addressed by model
-  fingerprint, so a hot swap can never serve a stale generation's answer
-  while a restart of the *same* model keeps its entries warm;
+- every predict, a lone one included, is answered by the compiled batch
+  kernel, never the per-row forest walk;
 - the TCP transport round-trips requests as JSON lines.
 """
 
@@ -22,7 +21,6 @@ import pytest
 
 from repro.core import EvolvableVM
 from repro.experiments.telemetry import (
-    ResultCache,
     TelemetryLog,
     serve_event,
     validate_event,
@@ -209,39 +207,51 @@ class TestServeTelemetrySchema:
         assert validate_event({"event": "serve_nonsense", "v": 1})
 
 
-class TestPredictCacheFingerprinting:
-    def test_hits_within_generation_miss_across_swap(self, toy_app, tmp_path):
-        registry = ModelRegistry(tmp_path / "reg")
-        cache = ResultCache(tmp_path / "cache")
-        tenant = Tenant(toy_app, registry=registry, predict_cache=cache,
-                        refit_interval=None)
-        first = tenant.predict(TRAIN[0])
-        again = tenant.predict(TRAIN[0])
-        assert again["levels"] == first["levels"]
-        assert tenant.predict_cache_hits == 1
-        for i, cmd in enumerate(TRAIN):
-            tenant.run(cmd, seed=i)
-        tenant.swap()  # new fingerprint: old entries must not serve
-        tenant.predict(TRAIN[0])
-        assert tenant.predict_cache_hits == 1  # miss after the swap
-        tenant.predict(TRAIN[0])
-        assert tenant.predict_cache_hits == 2  # warm again within gen
+class TestOnePredictPath:
+    def test_single_predict_goes_through_the_batch_kernel(
+        self, toy_app, monkeypatch
+    ):
+        """A predict alone in its queue is a batch of one: it must not
+        fall back to the per-row forest walk."""
+        from repro.learning.flat import FlatForest
 
-    def test_cache_survives_restart_of_same_model(self, toy_app, tmp_path):
-        registry = ModelRegistry(tmp_path / "reg")
-        cache = ResultCache(tmp_path / "cache")
-        tenant = Tenant(toy_app, registry=registry, predict_cache=cache,
+        registry = ModelRegistry(None)
+        tenant = Tenant(toy_app, registry=registry, refit_interval=None)
+        for i, cmd in enumerate(TRAIN):
+            tenant.run(cmd, seed=i)
+        tenant.swap()
+
+        def walk(self, vector):
+            raise AssertionError("per-row predict_all reached from serving")
+
+        monkeypatch.setattr(FlatForest, "predict_all", walk)
+
+        async def scenario():
+            server = FleetServer([tenant], registry)
+            await server.start()
+            response = await server.submit({
+                "op": "predict", "app": "toy", "cmdline": TRAIN[1],
+            })
+            await server.stop(persist=False)
+            return server, response
+
+        server, response = asyncio.run(scenario())
+        assert response["status"] == 200, response
+        assert response["levels"] and response["methods_modeled"] > 0
+        assert server.stats.batch_hops == 1
+        assert server.stats.batches == 0  # a hop of one is not a batch
+
+    def test_repeats_in_one_hop_count_as_hits(self, toy_app):
+        tenant = Tenant(toy_app, registry=ModelRegistry(None),
                         refit_interval=None)
         for i, cmd in enumerate(TRAIN):
             tenant.run(cmd, seed=i)
-        tenant.swap()  # persists state + fingerprints the model
-        warmed = tenant.predict(TRAIN[1])
-        # "Restart": a fresh process would rebuild the tenant from disk.
-        reborn = Tenant(toy_app, registry=ModelRegistry(tmp_path / "reg"),
-                        predict_cache=cache, refit_interval=None)
-        answer = reborn.predict(TRAIN[1])
-        assert reborn.predict_cache_hits == 1  # same model → warm start
-        assert answer["levels"] == warmed["levels"]
+        tenant.swap()
+        hop = [TRAIN[0], TRAIN[1], TRAIN[0], TRAIN[0]]
+        batched = tenant.predict_batch(hop)
+        assert batched == [tenant.predict(cmd) for cmd in hop]
+        assert tenant.predicts_total == 2 * len(hop)
+        assert tenant.predict_cache_hits == 2
 
 
 class TestTcpTransport:

@@ -14,6 +14,8 @@ Three contracts, each the reason the ISSUE's serving layer is trustworthy:
 """
 
 import asyncio
+import hashlib
+import json
 import threading
 
 import pytest
@@ -22,6 +24,7 @@ from repro.experiments.server_study import (
     build_tenant_apps,
     generate_fleet_requests,
     run_fleet_study,
+    run_requests_serial,
 )
 from repro.serving import FleetServer, ModelRegistry, Tenant, build_fleet
 from repro.vm import Interpreter
@@ -30,6 +33,14 @@ pytestmark = pytest.mark.serve
 
 TRAIN = ["-m 1 -n 50", "-m 2 -n 1200", "-m 1 -n 1200", "-m 2 -n 50",
          "-m 1 -n 50", "-m 2 -n 1200"]
+
+#: SHA-256 of the canonical JSON of every tenant's response bodies for
+#: the serial replay of ``generate_fleet_requests(0, 400)``. A change
+#: that moves it changed what the fleet answers: commit a new value only
+#: with a CHANGES.md line saying what observable changed.
+SERVING_DIGEST = (
+    "6f523f1f0fbfb10649e3c35c4c54e1e07a2e03031c72e5b3c3322f87792f809f"
+)
 
 
 class TestBitIdentity:
@@ -42,6 +53,13 @@ class TestBitIdentity:
         assert result.sheds > 0          # the overload burst shed traffic
         assert result.batches >= 1       # predict batching engaged
         assert result.burst_accepted + result.sheds == result.burst_submitted
+
+    def test_serial_replay_digest_is_pinned(self):
+        outcomes = run_requests_serial(generate_fleet_requests(0, 400))
+        canonical = json.dumps(
+            outcomes, sort_keys=True, separators=(",", ":")
+        ).encode("utf-8")
+        assert hashlib.sha256(canonical).hexdigest() == SERVING_DIGEST
 
     def test_request_stream_is_deterministic(self):
         first = generate_fleet_requests(7, 60, 3)
