@@ -41,7 +41,11 @@ from .confidence import (
 )
 from .gc_selection import GCDecision, GCSelector
 from .model_builder import ModelBuilder
-from .predictor import OverheadModel, StrategyPredictor
+from .predictor import StrategyPredictor
+
+#: Observations kept per drifted method when its history trims — roughly
+#: the post-shift window the refit should learn from.
+DRIFT_WINDOW = 12
 
 
 @dataclass
@@ -86,19 +90,15 @@ class EvolvableVM:
         gamma: float = DEFAULT_GAMMA,
         threshold: float = DEFAULT_THRESHOLD,
         tree_params: TreeParams = TreeParams(),
-        overhead: OverheadModel = OverheadModel(),
         min_rows: int = 2,
         jit: JITCompiler | None = None,
         select_gc: bool = False,
         gc_model: GCCostModel = GCCostModel(),
-        default_gc_policy: str = DEFAULT_GC_POLICY,
         cache_translations: bool = False,
-        learning_engine: str = "auto",
         defer_refits: bool = False,
         engine: str = "auto",
         prior=None,
         detect_drift: bool = True,
-        drift_window: int = 12,
         drift_monitor: DriftMonitor | None = None,
     ):
         self.app = app
@@ -111,9 +111,6 @@ class EvolvableVM:
         self.engine = engine
         self.jit = jit if jit is not None else JITCompiler(app.program, config)
         self.cost_benefit = CostBenefitModel(self.jit, config.sample_interval)
-        #: Training-engine knob for the learning layer ("auto"/"fast"/
-        #: "reference", mirroring Interpreter(engine=)).
-        self.learning_engine = learning_engine
         #: Optional cross-program prior
         #: (:class:`~repro.learning.forge.prior.CrossProgramPrior`, or any
         #: object with ``predict_program(program, args) -> dict[str, int]``):
@@ -133,25 +130,19 @@ class EvolvableVM:
             prior.predict_program(app.program) if prior is not None else {}
         )
         self.models = ModelBuilder(
-            tree_params,
-            min_rows=min_rows,
-            engine=learning_engine,
-            prior_levels=prior_levels,
+            tree_params, min_rows=min_rows, prior_levels=prior_levels
         )
         self.confidence = ConfidenceTracker(gamma=gamma, threshold=threshold)
-        self.predictor = StrategyPredictor(self.models, self.confidence, overhead)
+        self.predictor = StrategyPredictor(self.models, self.confidence)
         self.translator = app.make_translator()
         self.gc_model = gc_model
-        self.default_gc_policy = default_gc_policy
         self.gc_selector = (
             GCSelector(
                 gamma=gamma,
                 threshold=threshold,
                 tree_params=tree_params,
                 gc_model=gc_model,
-                default_policy=default_gc_policy,
                 min_rows=min_rows,
-                engine=learning_engine,
             )
             if select_gc
             else None
@@ -182,9 +173,6 @@ class EvolvableVM:
             self.drift = DriftMonitor()
         else:
             self.drift = None
-        #: Observations kept per drifted method when its history trims —
-        #: roughly the post-shift window the refit should learn from.
-        self.drift_window = drift_window
 
     # -- the Figure 7 loop ----------------------------------------------------
     def run(
@@ -246,7 +234,7 @@ class EvolvableVM:
 
         conf_before = self.confidence.value
         gc_decision: GCDecision | None = None
-        gc_policy = self.default_gc_policy
+        gc_policy = DEFAULT_GC_POLICY
         if self.gc_selector is not None and fvector is not None:
             gc_decision = self.gc_selector.select(fvector)
             gc_policy = gc_decision.applied
@@ -310,7 +298,7 @@ class EvolvableVM:
                 # drifted models must not keep answering until the next
                 # scheduled swap.
                 for method in drifted:
-                    self.models.trim_method_history(method, self.drift_window)
+                    self.models.trim_method_history(method, DRIFT_WINDOW)
                 if self.defer_refits:
                     self.models.refit_methods(drifted)
             if not self.defer_refits:
@@ -346,6 +334,24 @@ def run_default(
     engine: str = "auto",
 ) -> RunOutcome:
     """One run under the default (reactive) adaptive optimization scheme."""
+    return run_reactive(
+        "default", AdaptiveController, app, cmdline, config, jit, rng_seed,
+        engine,
+    )
+
+
+def run_reactive(
+    scenario: str,
+    controller,
+    app: Application,
+    cmdline: str | list[str],
+    config: VMConfig,
+    jit: JITCompiler | None,
+    rng_seed: int,
+    engine: str,
+) -> RunOutcome:
+    """One stateless run with *controller* attached (the Default scheme's
+    :class:`AdaptiveController`, or the phase comparator's controller)."""
     tokens = app.split_cmdline(cmdline)
     cmd_str = cmdline if isinstance(cmdline, str) else " ".join(cmdline)
     translator = app.make_translator()
@@ -357,10 +363,10 @@ def run_default(
     interp = Interpreter(
         app.program, config=config, rng_seed=rng_seed, jit=jit, engine=engine
     )
-    AdaptiveController(interp)
+    controller(interp)
     profile = interp.run(app.entry_args(tokens, fvector))
     return RunOutcome(
-        scenario="default",
+        scenario=scenario,
         cmdline=cmd_str,
         result=interp.result,
         profile=profile,

@@ -8,7 +8,6 @@ from .parallel import (
     CellSpec,
     SweepReport,
     plan_cells,
-    run_experiment_parallel,
     run_sweep,
 )
 from .telemetry import (
@@ -40,7 +39,6 @@ __all__ = [
     "plan_cells",
     "read_events",
     "run_experiment",
-    "run_experiment_parallel",
     "run_sweep",
     "runs_csv",
     "table1_csv",

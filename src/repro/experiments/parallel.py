@@ -1,17 +1,15 @@
 """Parallel experiment engine: fan §V-B sweeps out across processes.
 
-The serial runner executes one benchmark's scenarios run by run; a full
-Figure 8/9/10 + Table I sweep is therefore dominated by wall-clock. This
-engine splits a sweep into independent **cells** and executes them on a
-``concurrent.futures.ProcessPoolExecutor``, at two grain levels:
-
-- ``grain="benchmark"`` — one job per benchmark (all scenarios, the whole
-  run sequence). Coarse, minimal orchestration overhead.
-- ``grain="cell"`` (default) — jobs per scenario within a benchmark.
-  The **stateful** scenarios (``rep``, ``evolve``: the VM learns across
-  the run sequence) each form one cell spanning all runs; the
-  **stateless** scenarios (``default``, ``phase``: every run is
-  independent) split further into fixed-size run ranges.
+A full Figure 8/9/10 + Table I sweep run by run is dominated by
+wall-clock. This engine splits a sweep into independent **cells** and
+executes them on a ``concurrent.futures.ProcessPoolExecutor``: one cell
+per scenario within a benchmark. The **stateful** scenarios (``rep``,
+``evolve``: the VM learns across the run sequence) each form one cell
+spanning all runs; the **stateless** scenarios (``default``, ``phase``:
+every run is independent) split further into fixed-size run ranges.
+Every cell runs through :func:`run_cell`, the same loop the serial
+runner (:func:`~.runner.run_experiment`) uses for its single cell of all
+scenarios over the whole sequence.
 
 Determinism is preserved exactly: every cell derives the same input
 sequence from the experiment seed, uses the global run index as the
@@ -151,8 +149,6 @@ def plan_cells(
     runs: int | None = None,
     config: VMConfig = DEFAULT_CONFIG,
     scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
-    chunk: int = DEFAULT_CHUNK,
     gamma: float | None = None,
     threshold: float | None = None,
     tree_params: TreeParams | None = None,
@@ -162,8 +158,6 @@ def plan_cells(
     engine: str = "auto",
 ) -> list[CellSpec]:
     """Split one benchmark's experiment into independent cell specs."""
-    if grain not in ("benchmark", "cell"):
-        raise ValueError(f"unknown grain {grain!r}")
     if sequence is not None and drift is not None:
         raise ValueError("pass either an explicit sequence or a drift spec")
     n_runs = runs if runs is not None else bench.runs
@@ -187,16 +181,13 @@ def plan_cells(
             engine=engine,
         )
 
-    if grain == "benchmark":
-        return [spec(tuple(scenarios), 0, len(seq))]
-
     cells: list[CellSpec] = []
     for scenario in scenarios:
         if scenario in STATEFUL_SCENARIOS:
             cells.append(spec((scenario,), 0, len(seq)))
         else:
-            for start in range(0, len(seq), max(1, chunk)):
-                stop = min(start + max(1, chunk), len(seq))
+            for start in range(0, len(seq), DEFAULT_CHUNK):
+                stop = min(start + DEFAULT_CHUNK, len(seq))
                 cells.append(spec((scenario,), start, stop))
     return cells
 
@@ -222,15 +213,16 @@ def _artifact_cache_for(cache_dir: str | None) -> JITArtifactCache | None:
     return cache
 
 
-def execute_cell(spec: CellSpec) -> dict:
-    """Run one cell and return a pickle-safe payload.
+def run_cell(
+    bench: Benchmark, spec: CellSpec
+) -> tuple[ExperimentResult, list[dict]]:
+    """Build the app, JIT and scenario VMs for *spec* and run its range.
 
-    The payload maps each scenario to its ordered outcomes for the cell's
-    run range, carries the per-run telemetry events, and (for ``evolve``)
-    a model summary replacing the unpicklable live VM.
+    Returns the experiment result holding the live VMs and the cell's
+    outcomes, plus the per-run telemetry events. Stateful scenarios must
+    replay the prefix ``[0, start)`` — planning never splits them, so
+    ``start`` is always 0 for rep/evolve cells.
     """
-    cell_clock = time.perf_counter()
-    bench = get_benchmark(spec.benchmark)
     app, inputs = bench.build(seed=spec.seed)
     jit = JITCompiler(
         app.program,
@@ -253,13 +245,16 @@ def execute_cell(spec: CellSpec) -> dict:
         if "rep" in spec.scenarios
         else None
     )
+    result = ExperimentResult(
+        benchmark=spec.benchmark,
+        app=app,
+        inputs=inputs,
+        sequence=list(spec.sequence),
+        evolve_vm=evolve_vm,
+        rep_vm=rep_vm,
+    )
 
-    outcomes: dict[str, list] = {scenario: [] for scenario in spec.scenarios}
     events: list[dict] = []
-    model_summary: dict | None = None
-
-    # Stateful scenarios must replay the prefix [0, start) — planning
-    # never splits them, so start is always 0 for rep/evolve cells.
     for run_index in range(spec.start, spec.stop):
         input_index = spec.sequence[run_index]
         cmdline = inputs[input_index].cmdline
@@ -276,11 +271,11 @@ def execute_cell(spec: CellSpec) -> dict:
                 outcome = evolve_vm.run(cmdline, rng_seed=run_index)
             elif scenario == "phase":
                 outcome = _run_phase(
-                    app, cmdline, spec.config, jit, rng_seed=run_index
+                    app, cmdline, spec.config, jit, run_index, spec.engine
                 )
             else:
                 raise ValueError(f"unknown scenario {scenario!r}")
-            outcomes[scenario].append(outcome)
+            getattr(result, scenario).append(outcome)
             events.append(
                 run_event(
                     benchmark=spec.benchmark,
@@ -305,13 +300,26 @@ def execute_cell(spec: CellSpec) -> dict:
                 )
 
     if evolve_vm is not None:
-        model_summary = dict(evolve_vm.models.summary())
-        model_summary["final_confidence"] = evolve_vm.confidence.value
+        result.evolve_summary = dict(evolve_vm.models.summary())
+        result.evolve_summary["final_confidence"] = evolve_vm.confidence.value
+    return result, events
 
+
+def execute_cell(spec: CellSpec) -> dict:
+    """Run one cell and return a pickle-safe payload.
+
+    The payload maps each scenario to its ordered outcomes for the cell's
+    run range, carries the per-run telemetry events, and (for ``evolve``)
+    a model summary replacing the unpicklable live VM.
+    """
+    cell_clock = time.perf_counter()
+    result, events = run_cell(get_benchmark(spec.benchmark), spec)
     return {
-        "outcomes": outcomes,
+        "outcomes": {
+            scenario: getattr(result, scenario) for scenario in spec.scenarios
+        },
         "events": events,
-        "model_summary": model_summary,
+        "model_summary": result.evolve_summary,
         "wall_s": time.perf_counter() - cell_clock,
     }
 
@@ -375,27 +383,12 @@ def _resolve_jobs(jobs: int | None) -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _apply_chunk(item: tuple) -> list:
-    """Worker for chunked :func:`map_parallel`: one pool hop per chunk."""
-    worker, chunk = item
-    return [worker(x) for x in chunk]
-
-
-def map_parallel(
-    worker, items: list, jobs: int, *, chunksize: int = 1
-) -> tuple[list, bool]:
+def map_parallel(worker, items: list, jobs: int) -> tuple[list, bool]:
     """Apply picklable *worker* to every item, preferring a process pool.
 
     Returns ``(results, parallel)`` with results in item order. Falls back
     to in-process execution when the platform forbids multiprocessing
     (sandboxes without semaphore support), so callers always get results.
-
-    *chunksize* batches consecutive items into one pool submission each,
-    amortizing pickle/IPC overhead when items are tiny (the forge's
-    per-program chunks already batch, but per-method refit groups are
-    single dict entries). Results are flattened back into item order, so
-    any chunksize returns the identical result list — only the transport
-    granularity changes.
 
     This is the *plain* fan-out primitive: there are no retries, no
     per-item timeouts, and no fault isolation — an exception in *worker*
@@ -403,22 +396,13 @@ def map_parallel(
     dead-worker recovery / deadline semantics go through
     :func:`run_sweep`'s resilient cell executor instead (behaviour
     documented in ``docs/robustness.md``). Direct callers today are the
-    fuzz harness (iteration chunks) and
+    fuzz harness (iteration chunks), the data forge (program chunks) and
     :meth:`~repro.core.model_builder.ModelBuilder.refit_all`, which the
     serving layer uses for offline refits between hot model swaps.
     """
-    if chunksize < 1:
-        raise ValueError("chunksize must be >= 1")
     if not items:
         return [], False
     if jobs > 1 and len(items) > 1:
-        if chunksize > 1:
-            chunks = [
-                (worker, items[i : i + chunksize])
-                for i in range(0, len(items), chunksize)
-            ]
-            chunked, parallel = map_parallel(_apply_chunk, chunks, jobs)
-            return [result for chunk in chunked for result in chunk], parallel
         results: dict[int, object] = {}
         try:
             with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
@@ -475,16 +459,55 @@ def _cell_tag(spec: CellSpec) -> str:
     return f"{spec.benchmark}/{'+'.join(spec.scenarios)}[{spec.start}:{spec.stop}]"
 
 
-def _failure(spec: CellSpec, reason: str, detail: str, attempts: int) -> CellFailure:
-    return CellFailure(
-        benchmark=spec.benchmark,
-        scenario="+".join(spec.scenarios),
-        start=spec.start,
-        stop=spec.stop,
-        reason=reason,
-        detail=detail,
-        attempts=attempts,
-    )
+@dataclass
+class _Ledger:
+    """Per-cell results, failures and attempt counts shared by the pool
+    and serial executors, plus the one retry rule both apply."""
+
+    retries: int
+    backoff_s: float
+    fault_plan: WorkerFaultPlan | None
+    report: DegradationReport
+    payloads: dict[int, dict] = field(default_factory=dict)
+    failures: dict[int, CellFailure] = field(default_factory=dict)
+    attempts: dict[int, int] = field(default_factory=dict)
+
+    def next_fault(self, index: int) -> str | None:
+        """Count one more attempt of cell *index*; returns the fault the
+        plan injects into it, if any."""
+        made = self.attempts.get(index, 0)
+        self.attempts[index] = made + 1
+        if self.fault_plan is None:
+            return None
+        return self.fault_plan.fault_for(index, made)
+
+    def fail(self, index: int, spec: CellSpec, reason: str, detail: str) -> None:
+        self.failures[index] = CellFailure(
+            benchmark=spec.benchmark,
+            scenario="+".join(spec.scenarios),
+            start=spec.start,
+            stop=spec.stop,
+            reason=reason,
+            detail=detail,
+            attempts=self.attempts[index],
+        )
+
+    def retry(self, index: int, spec: CellSpec, exc: Exception) -> bool:
+        """After cell *index* raised *exc*: back off exponentially and
+        return True while attempts remain, else mark it failed-but-reported
+        and return False."""
+        made = self.attempts[index]
+        if made <= self.retries:
+            self.report.record(
+                "sweep", "retry", type(exc).__name__, detail=_cell_tag(spec)
+            )
+            time.sleep(self.backoff_s * (2 ** (made - 1)))
+            return True
+        self.fail(index, spec, "exception", f"{type(exc).__name__}: {exc}")
+        self.report.record(
+            "sweep", "cell-failed", "exception", detail=_cell_tag(spec)
+        )
+        return False
 
 
 def _shutdown_pool(pool: ProcessPoolExecutor, healthy: bool) -> None:
@@ -505,15 +528,8 @@ def _shutdown_pool(pool: ProcessPoolExecutor, healthy: bool) -> None:
 def _pool_phase(
     pool: ProcessPoolExecutor,
     pending: list[tuple[int, CellSpec]],
-    payloads: dict[int, dict],
-    failures: dict[int, CellFailure],
-    attempts: dict[int, int],
-    *,
-    retries: int,
+    ledger: _Ledger,
     cell_timeout: float | None,
-    backoff_s: float,
-    fault_plan: WorkerFaultPlan | None,
-    report: DegradationReport,
 ) -> list[tuple[int, CellSpec]]:
     """Run cells on the pool; returns cells that must re-run serially.
 
@@ -528,16 +544,13 @@ def _pool_phase(
     deadlines: dict = {}
     healthy = True
     lost: list[tuple[int, CellSpec]] = []
+    plan = ledger.fault_plan
+    hang_s = plan.hang_s if plan is not None else 0.0
 
     def submit(index: int, spec: CellSpec):
-        fault = (
-            fault_plan.fault_for(index, attempts[index])
-            if fault_plan is not None
-            else None
+        future = pool.submit(
+            _cell_worker, (spec, ledger.next_fault(index), hang_s)
         )
-        hang_s = fault_plan.hang_s if fault_plan is not None else 0.0
-        attempts[index] += 1
-        future = pool.submit(_cell_worker, (spec, fault, hang_s))
         futures[future] = (index, spec)
         if cell_timeout is not None:
             deadlines[future] = time.monotonic() + cell_timeout
@@ -553,34 +566,20 @@ def _pool_phase(
             for future in done:
                 index, spec = futures.pop(future)
                 try:
-                    payloads[index] = future.result()
+                    ledger.payloads[index] = future.result()
                 except BrokenProcessPool:
                     # The worker died mid-cell. Nothing wrong with the
                     # cell itself: re-execute it (and everything else
                     # still outstanding) serially instead of aborting.
                     healthy = False
                     lost.append((index, spec))
-                    report.record(
+                    ledger.report.record(
                         "sweep", "serial-reexec", "worker-lost",
                         detail=_cell_tag(spec),
                     )
                 except Exception as exc:
-                    if attempts[index] <= retries:
-                        report.record(
-                            "sweep", "retry", type(exc).__name__,
-                            detail=_cell_tag(spec),
-                        )
-                        time.sleep(backoff_s * (2 ** (attempts[index] - 1)))
+                    if ledger.retry(index, spec, exc):
                         not_done.add(submit(index, spec))
-                    else:
-                        failures[index] = _failure(
-                            spec, "exception",
-                            f"{type(exc).__name__}: {exc}", attempts[index],
-                        )
-                        report.record(
-                            "sweep", "cell-failed", "exception",
-                            detail=_cell_tag(spec),
-                        )
             if healthy and cell_timeout is not None:
                 now = time.monotonic()
                 for future in list(not_done):
@@ -588,12 +587,11 @@ def _pool_phase(
                         index, spec = futures.pop(future)
                         not_done.discard(future)
                         future.cancel()
-                        failures[index] = _failure(
-                            spec, "timeout",
+                        ledger.fail(
+                            index, spec, "timeout",
                             f"exceeded {cell_timeout:.2f}s cell timeout",
-                            attempts[index],
                         )
-                        report.record(
+                        ledger.report.record(
                             "sweep", "timeout", "cell-deadline",
                             detail=_cell_tag(spec),
                         )
@@ -603,7 +601,7 @@ def _pool_phase(
             if future in futures:
                 index, spec = futures.pop(future)
                 lost.append((index, spec))
-                report.record(
+                ledger.report.record(
                     "sweep", "serial-reexec", "pool-drain",
                     detail=_cell_tag(spec),
                 )
@@ -612,18 +610,8 @@ def _pool_phase(
     return lost
 
 
-def _serial_phase(
-    queue: list[tuple[int, CellSpec]],
-    payloads: dict[int, dict],
-    failures: dict[int, CellFailure],
-    attempts: dict[int, int],
-    *,
-    retries: int,
-    backoff_s: float,
-    fault_plan: WorkerFaultPlan | None,
-    report: DegradationReport,
-) -> None:
-    """In-process execution with the same retry contract as the pool.
+def _serial_phase(queue: list[tuple[int, CellSpec]], ledger: _Ledger) -> None:
+    """In-process execution with the same retry rule as the pool.
 
     Inline, a ``exit``/``hang`` fault cannot be allowed to kill or stall
     the parent, so both degrade to :class:`InjectedWorkerFault` — the
@@ -631,34 +619,16 @@ def _serial_phase(
     """
     for index, spec in queue:
         while True:
-            fault = (
-                fault_plan.fault_for(index, attempts[index])
-                if fault_plan is not None
-                else None
-            )
-            if fault in ("exit", "hang"):
-                fault = "raise"
-            attempts[index] += 1
+            fault = ledger.next_fault(index)
             try:
-                _apply_worker_fault(fault, 0.0)
-                payloads[index] = execute_cell(spec)
+                _apply_worker_fault(
+                    "raise" if fault in ("exit", "hang") else fault, 0.0
+                )
+                ledger.payloads[index] = execute_cell(spec)
                 break
             except Exception as exc:
-                if attempts[index] <= retries:
-                    report.record(
-                        "sweep", "retry", type(exc).__name__,
-                        detail=_cell_tag(spec),
-                    )
-                    time.sleep(backoff_s * (2 ** (attempts[index] - 1)))
-                    continue
-                failures[index] = _failure(
-                    spec, "exception",
-                    f"{type(exc).__name__}: {exc}", attempts[index],
-                )
-                report.record(
-                    "sweep", "cell-failed", "exception", detail=_cell_tag(spec)
-                )
-                break
+                if not ledger.retry(index, spec, exc):
+                    break
 
 
 def execute_cells(
@@ -677,11 +647,10 @@ def execute_cells(
     up in exactly one of the two dicts — a sweep never aborts on a bad
     cell or a dead worker.
     """
-    if report is None:
-        report = DegradationReport()
-    payloads: dict[int, dict] = {}
-    failures: dict[int, CellFailure] = {}
-    attempts: dict[int, int] = {index: 0 for index, _ in pending}
+    ledger = _Ledger(
+        retries, backoff_s, fault_plan,
+        report if report is not None else DegradationReport(),
+    )
     parallel = False
     serial_queue = list(pending)
 
@@ -692,18 +661,10 @@ def execute_cells(
             pool = None
         if pool is not None:
             parallel = True
-            serial_queue = _pool_phase(
-                pool, pending, payloads, failures, attempts,
-                retries=retries, cell_timeout=cell_timeout,
-                backoff_s=backoff_s, fault_plan=fault_plan, report=report,
-            )
+            serial_queue = _pool_phase(pool, pending, ledger, cell_timeout)
 
-    _serial_phase(
-        serial_queue, payloads, failures, attempts,
-        retries=retries, backoff_s=backoff_s, fault_plan=fault_plan,
-        report=report,
-    )
-    return payloads, failures, parallel
+    _serial_phase(serial_queue, ledger)
+    return ledger.payloads, ledger.failures, parallel
 
 
 def run_sweep(
@@ -714,8 +675,6 @@ def run_sweep(
     runs: int | None = None,
     config: VMConfig = DEFAULT_CONFIG,
     scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
-    chunk: int = DEFAULT_CHUNK,
     gamma: float | None = None,
     threshold: float | None = None,
     tree_params: TreeParams | None = None,
@@ -758,8 +717,6 @@ def run_sweep(
             runs=runs,
             config=config,
             scenarios=tuple(scenarios),
-            grain=grain,
-            chunk=chunk,
             gamma=gamma,
             threshold=threshold,
             tree_params=tree_params,
@@ -873,51 +830,3 @@ def run_sweep(
         wall_s=time.perf_counter() - sweep_clock,
         parallel=parallel,
     )
-
-
-def run_experiment_parallel(
-    bench: Benchmark,
-    *,
-    jobs: int | None = None,
-    seed: int = 0,
-    runs: int | None = None,
-    config: VMConfig = DEFAULT_CONFIG,
-    scenarios: tuple[str, ...] = ("default", "rep", "evolve"),
-    grain: str = "cell",
-    gamma: float | None = None,
-    threshold: float | None = None,
-    tree_params: TreeParams | None = None,
-    drift: DriftSpec | None = None,
-    telemetry: TelemetryLog | None = None,
-    cache: ResultCache | None = None,
-    jit_cache_dir: str | None = None,
-    engine: str = "auto",
-) -> ExperimentResult:
-    """One benchmark through the parallel engine (the runner's ``jobs=N``
-    path); results are identical to :func:`~.runner.run_experiment`.
-
-    Delegates to :func:`run_sweep` and therefore inherits its fault
-    tolerance at the default settings: a raising cell is retried once
-    with backoff, cells lost to dead workers are re-executed serially,
-    and there is no cell deadline unless a caller opts in via
-    ``run_sweep(..., cell_timeout=...)``. See ``docs/robustness.md`` for
-    the recovery ladder and how degradations are reported.
-    """
-    report = run_sweep(
-        [bench],
-        jobs=jobs,
-        seed=seed,
-        runs=runs,
-        config=config,
-        scenarios=scenarios,
-        grain=grain,
-        gamma=gamma,
-        threshold=threshold,
-        tree_params=tree_params,
-        drift=drift,
-        telemetry=telemetry,
-        cache=cache,
-        jit_cache_dir=jit_cache_dir,
-        engine=engine,
-    )
-    return report.results[0]

@@ -8,26 +8,24 @@ per-run RNG seeds are used for all scenarios, so per-run comparisons are
 apples-to-apples; the default run of each input doubles as the speedup
 baseline.
 
-This module is the serial reference implementation; ``jobs > 1`` hands the
-same protocol to the parallel engine (:mod:`.parallel`), which produces
-bitwise-identical results.
+The serial runner is the one-cell path of the parallel engine
+(:mod:`.parallel`): it runs every scenario over the whole sequence as a
+single cell through the same loop a worker runs, and keeps the live VMs.
+``jobs > 1`` hands the protocol to :func:`~.parallel.run_sweep`, which
+produces bitwise-identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from random import Random
 
 from ..bench.base import BenchInput, Benchmark
 from ..core.application import Application
 from ..aos.phase import PhaseAdaptiveController
-from ..core.evolvable import EvolvableVM, RepVM, RunOutcome, run_default
-from ..scenarios.drift import DriftSpec, drift_sequence
-from ..vm.interpreter import Interpreter
-from ..xicl.features import FeatureVector
+from ..core.evolvable import EvolvableVM, RepVM, RunOutcome, run_reactive
+from ..scenarios.drift import DriftSpec
 from ..learning.tree import TreeParams
 from ..vm.config import DEFAULT_CONFIG, VMConfig
-from ..vm.opt.jit import JITCompiler
 
 
 @dataclass
@@ -38,9 +36,8 @@ class ExperimentResult:
 
     ``evolve_vm``/``rep_vm`` hold the live scenario VMs when the serial
     runner produced the result; the parallel engine leaves them ``None``
-    (they stay in the worker processes) and fills ``evolve_summary`` —
-    the pickle-safe model snapshot — instead. The serial runner populates
-    ``evolve_summary`` too, so reports can rely on it either way.
+    (they stay in the worker processes). Both fill ``evolve_summary``,
+    the pickle-safe model snapshot reports read.
     """
 
     benchmark: str
@@ -104,103 +101,43 @@ def run_experiment(
     """Run the full §V-B protocol for one benchmark.
 
     *sequence* overrides the random input order (used by the
-    input-order-sensitivity study); otherwise inputs are drawn uniformly
-    with a deterministic RNG derived from *seed* — unless *drift* names
-    a non-stationary schedule, in which case the sequence comes from
-    :func:`~repro.scenarios.drift.drift_sequence` (same determinism
-    contract, shifting distribution).
+    input-order-sensitivity study); otherwise the order comes from
+    :func:`~.parallel.derive_sequence` — a uniform draw from *seed*, or
+    the non-stationary schedule *drift* names.
 
-    *jobs* > 1 delegates to the parallel engine: scenarios (and run
-    ranges of the stateless ones) execute as independent worker cells,
-    with bit-identical outcomes.
+    *jobs* > 1 delegates to :func:`~.parallel.run_sweep`: scenarios (and
+    run ranges of the stateless ones) execute as independent worker
+    cells, with bit-identical outcomes.
     """
+    from .parallel import CellSpec, derive_sequence, run_cell, run_sweep
+
     if sequence is not None and drift is not None:
         raise ValueError("pass either an explicit sequence or a drift spec")
-    if jobs > 1 and sequence is None:
-        from .parallel import run_experiment_parallel
-
-        return run_experiment_parallel(
-            bench,
-            jobs=jobs,
-            seed=seed,
-            runs=runs,
-            config=config,
-            scenarios=tuple(scenarios),
-            gamma=gamma,
-            threshold=threshold,
-            tree_params=tree_params,
-            drift=drift,
-        )
-    app, inputs = bench.build(seed=seed)
-    n_runs = runs if runs is not None else bench.runs
-    if sequence is not None:
-        sequence = list(sequence)
-    elif drift is not None:
-        sequence = drift_sequence(drift, len(inputs), n_runs, seed)
-    else:
-        rng = Random(seed * 7919 + 17)
-        sequence = [rng.randrange(len(inputs)) for _ in range(n_runs)]
-
-    jit = JITCompiler(app.program, config)
-    result = ExperimentResult(
-        benchmark=bench.name,
-        app=app,
-        inputs=inputs,
-        sequence=sequence,
-        drift_spec=drift,
+    options = dict(
+        config=config, gamma=gamma, threshold=threshold,
+        tree_params=tree_params,
     )
-
-    evolve_kwargs: dict = {"config": config, "jit": jit}
-    if gamma is not None:
-        evolve_kwargs["gamma"] = gamma
-    if threshold is not None:
-        evolve_kwargs["threshold"] = threshold
-    if tree_params is not None:
-        evolve_kwargs["tree_params"] = tree_params
-    evolve_vm = EvolvableVM(app, **evolve_kwargs)
-    rep_vm = RepVM(app, config=config, jit=jit)
-    result.evolve_vm = evolve_vm
-    result.rep_vm = rep_vm
-
-    for run_index, input_index in enumerate(sequence):
-        cmdline = inputs[input_index].cmdline
-        if "default" in scenarios:
-            result.default.append(
-                run_default(app, cmdline, config=config, jit=jit, rng_seed=run_index)
-            )
-        if "rep" in scenarios:
-            result.rep.append(rep_vm.run(cmdline, rng_seed=run_index))
-        if "evolve" in scenarios:
-            result.evolve.append(evolve_vm.run(cmdline, rng_seed=run_index))
-        if "phase" in scenarios:
-            result.phase.append(
-                _run_phase(app, cmdline, config, jit, rng_seed=run_index)
-            )
-    if "evolve" in scenarios:
-        result.evolve_summary = dict(evolve_vm.models.summary())
-        result.evolve_summary["final_confidence"] = evolve_vm.confidence.value
+    if jobs > 1 and sequence is None:
+        return run_sweep(
+            [bench], jobs=jobs, seed=seed, runs=runs,
+            scenarios=tuple(scenarios), drift=drift, **options,
+        ).results[0]
+    if sequence is None:
+        n_runs = runs if runs is not None else bench.runs
+        sequence = derive_sequence(bench, seed, n_runs, drift)
+    result, _ = run_cell(bench, CellSpec(
+        benchmark=bench.name, scenarios=tuple(scenarios), start=0,
+        stop=len(sequence), seed=seed, sequence=tuple(sequence), **options,
+    ))
+    result.drift_spec = drift
     return result
 
 
-def _run_phase(app, cmdline, config, jit, rng_seed: int) -> RunOutcome:
+def _run_phase(app, cmdline, config, jit, rng_seed, engine) -> RunOutcome:
     """One run under the phase-based adaptive comparator."""
-    tokens = app.split_cmdline(cmdline)
-    cmd_str = cmdline if isinstance(cmdline, str) else " ".join(cmdline)
-    translator = app.make_translator()
-    fvector = (
-        translator.build_fvector(tokens)
-        if translator is not None
-        else FeatureVector()
-    )
-    interp = Interpreter(app.program, config=config, rng_seed=rng_seed, jit=jit)
-    PhaseAdaptiveController(interp)
-    profile = interp.run(app.entry_args(tokens, fvector))
-    return RunOutcome(
-        scenario="phase",
-        cmdline=cmd_str,
-        result=interp.result,
-        profile=profile,
-        fvector=fvector,
+    return run_reactive(
+        "phase", PhaseAdaptiveController, app, cmdline, config, jit,
+        rng_seed, engine,
     )
 
 

@@ -111,19 +111,22 @@ option {name=-b:--bytes; type=NUM; attr=VAL; default=4096; has_arg=y}
 _ENDPOINTS = ("search", "render", "stats")
 
 
-def build_server_app() -> Application:
-    program = compile_source(SERVER_SOURCE, name="server")
-    spec = parse_spec(SERVER_SPEC)
-
-    def launcher(tokens, fvector, fs):
-        return (
-            _ENDPOINTS.index(str(fvector.get("-e.VAL", "search"))),
-            int(fvector["-b.VAL"]),
-        )
-
-    return Application(
-        name="server", program=program, spec=spec, launcher=launcher
+def _launcher(tokens, fvector, fs):
+    return (
+        _ENDPOINTS.index(str(fvector.get("-e.VAL", "search"))),
+        int(fvector["-b.VAL"]),
     )
+
+
+def _server_app(name: str, program) -> Application:
+    return Application(
+        name=name, program=program, spec=parse_spec(SERVER_SPEC),
+        launcher=_launcher,
+    )
+
+
+def build_server_app() -> Application:
+    return _server_app("server", compile_source(SERVER_SOURCE, name="server"))
 
 
 def generate_request_stream(rng: Random, count: int) -> list[str]:
@@ -246,20 +249,7 @@ def build_tenant_apps(count: int = 4) -> list[Application]:
     """Distinct tenant applications over the shared server handler."""
     count = max(1, min(count, len(TENANT_PROFILES)))
     program = compile_source(SERVER_SOURCE, name="server")
-    apps = []
-    for name, _ in TENANT_PROFILES[:count]:
-        spec = parse_spec(SERVER_SPEC)
-
-        def launcher(tokens, fvector, fs):
-            return (
-                _ENDPOINTS.index(str(fvector.get("-e.VAL", "search"))),
-                int(fvector["-b.VAL"]),
-            )
-
-        apps.append(
-            Application(name=name, program=program, spec=spec, launcher=launcher)
-        )
-    return apps
+    return [_server_app(name, program) for name, _ in TENANT_PROFILES[:count]]
 
 
 def generate_fleet_requests(
@@ -293,21 +283,20 @@ def generate_fleet_requests(
     return requests
 
 
-def _build_study_fleet(
-    tenants: int,
+def _study_fleet(
+    apps: list[Application],
     registry_dir: str | None,
     refit_interval: int,
     config: VMConfig,
 ):
+    """Resident tenants for *apps* over a registry at *registry_dir*: the
+    fleet every study serves, replays and respawns from."""
     from ..serving.registry import ModelRegistry
     from ..serving.tenant import build_fleet
 
     registry = ModelRegistry(registry_dir)
     fleet = build_fleet(
-        build_tenant_apps(tenants),
-        registry=registry,
-        config=config,
-        refit_interval=refit_interval,
+        apps, registry=registry, config=config, refit_interval=refit_interval
     )
     return fleet, registry
 
@@ -338,8 +327,8 @@ def run_requests_serial(
     Kill modeling requires a real *registry_dir* (swap-point saves are
     what the rebuilt tenants restore from).
     """
-    fleet, _ = _build_study_fleet(
-        tenants, registry_dir, refit_interval, config
+    fleet, _ = _study_fleet(
+        build_tenant_apps(tenants), registry_dir, refit_interval, config
     )
     by_name = {tenant.name: tenant for tenant in fleet}
     outcomes: dict[str, list[dict]] = {tenant.name: [] for tenant in fleet}
@@ -371,23 +360,15 @@ def _serial_respawn(
     """Rebuild the killed shard's tenants the way a respawned worker
     does: fresh registry over the same root, state + generation restored
     from the last persisted swap."""
-    from ..serving.registry import ModelRegistry
     from ..serving.shards import shard_of
-    from ..serving.tenant import build_fleet
 
-    killed = [
-        name
+    apps = [
+        by_name[name].app
         for name in by_name
         if shard_of(name, shard_count) == shard_index
     ]
-    apps = [by_name[name].app for name in killed]
-    registry = ModelRegistry(registry_dir)
-    for tenant in build_fleet(
-        apps,
-        registry=registry,
-        config=config,
-        refit_interval=refit_interval,
-    ):
+    fleet, _ = _study_fleet(apps, registry_dir, refit_interval, config)
+    for tenant in fleet:
         by_name[tenant.name] = tenant
 
 
@@ -423,14 +404,14 @@ _ENVELOPE_FIELDS = frozenset({"status", "op", "id", "app", "wall_ms"})
 
 
 def _response_bodies(
-    requests: list[dict], responses: list[dict], names
+    requests: list[dict], responses: list[dict]
 ) -> dict[str, list[dict]]:
     """Each tenant's served (status 200) response bodies, in order: the
     deterministic part a serial replay must reproduce."""
-    by_tenant: dict[str, list[dict]] = {name: [] for name in names}
+    by_tenant: dict[str, list[dict]] = {}
     for request, response in zip(requests, responses):
         if response["status"] == 200:
-            by_tenant[request["app"]].append({
+            by_tenant.setdefault(request["app"], []).append({
                 k: v for k, v in response.items()
                 if k not in _ENVELOPE_FIELDS
             })
@@ -457,23 +438,30 @@ async def _submit_paced(front, requests: list[dict]) -> list[dict]:
     return list(await asyncio.gather(*futures))
 
 
-async def _serve_requests(
-    fleet, registry, requests: list[dict], *, queue_bound: int,
-    telemetry=None,
-) -> tuple[dict[str, list[dict]], "object"]:
-    """Drive *requests* through a :class:`FleetServer` concurrently."""
-    from ..serving.server import FleetServer
+async def _serve(front, stream: list[dict], kill=None) -> list[dict]:
+    """Start *front* — a :class:`~repro.serving.server.FleetServer` or a
+    :class:`~repro.serving.shards.ShardRouter` — serve *stream* through
+    it, stop it, and return the responses in stream order.
 
-    server = FleetServer(
-        fleet, registry, queue_bound=queue_bound, telemetry=telemetry
-    )
-    await server.start()
-    responses = await _submit_paced(server, requests)
-    await server.stop(persist=registry.root is not None)
-    return (
-        _response_bodies(requests, responses, [t.name for t in fleet]),
-        server,
-    )
+    With *kill* = ``(request_index, shard_index)`` the stream pauses at
+    that index, the fleet quiesces (``sync``: all accepted work including
+    trailing auto-swaps fully processed and persisted), the shard's
+    worker is killed and its respawn awaited, then the rest of the stream
+    proceeds — the deterministic boundary :func:`run_requests_serial`
+    models with its ``kill`` parameter.
+    """
+    await front.start()
+    cut = len(stream) if kill is None else kill[0]
+    try:
+        responses = await _submit_paced(front, stream[:cut])
+        if kill is not None:
+            await front.sync()
+            front.kill_shard(kill[1])
+            await front.wait_respawn(kill[1])
+            responses += await _submit_paced(front, stream[cut:])
+    finally:
+        await front.stop()
+    return responses
 
 
 async def _overload_burst(
@@ -490,13 +478,13 @@ async def _overload_burst(
     """
     from ..serving.server import FleetServer
 
-    fleet, registry = _build_study_fleet(
-        tenants, None, refit_interval, config
+    server = FleetServer(
+        *_study_fleet(build_tenant_apps(tenants), None, refit_interval, config),
+        queue_bound=queue_bound,
     )
-    server = FleetServer(fleet, registry, queue_bound=queue_bound)
     await server.start()
     futures = []
-    for tenant in fleet:
+    for tenant in server.tenants.values():
         for i in range(per_tenant):
             futures.append(
                 server.submit_nowait(
@@ -559,6 +547,8 @@ def run_fleet_study(
     persistence path (state saves at swap points, cold-start summary) is
     exercised without making results depend on prior invocations.
     """
+    from ..serving.server import FleetServer
+
     stream = generate_fleet_requests(seed, requests, tenants)
 
     serial_clock = time.perf_counter()
@@ -575,21 +565,18 @@ def run_fleet_study(
         scratch = tempfile.mkdtemp(prefix="repro-fleet-registry-")
         registry_dir = scratch
     try:
-        fleet, registry = _build_study_fleet(
-            tenants, registry_dir, refit_interval, config
+        fleet, registry = _study_fleet(
+            build_tenant_apps(tenants), registry_dir, refit_interval, config
         )
         startup = registry.startup_summary()
-        bound = queue_bound if queue_bound is not None else max(64, requests)
-        serve_clock = time.perf_counter()
-        served, server = asyncio.run(
-            _serve_requests(
-                fleet,
-                registry,
-                stream,
-                queue_bound=bound,
-                telemetry=telemetry,
-            )
+        server = FleetServer(
+            fleet, registry,
+            queue_bound=queue_bound if queue_bound is not None
+            else max(64, requests),
+            telemetry=telemetry,
         )
+        serve_clock = time.perf_counter()
+        responses = asyncio.run(_serve(server, stream))
         wall = time.perf_counter() - serve_clock
     finally:
         if scratch is not None:
@@ -599,7 +586,7 @@ def run_fleet_study(
         _overload_burst(tenants, refit_interval, config)
     )
 
-    mismatches = _compare_outcomes(serial, served)
+    mismatches = _compare_outcomes(serial, _response_bodies(stream, responses))
     latencies = server.stats.latencies_ms
     summary = {
         "p50": _percentile(latencies, 0.50),
@@ -683,50 +670,46 @@ class ShardStudyResult:
         )
 
 
-async def _serve_requests_sharded(
+def _sharded_point(
     stream: list[dict],
-    *,
+    serial: dict[str, list[dict]],
     shards: int,
+    *,
     tenants: int,
     refit_interval: int,
     config: VMConfig,
-    registry_dir: str,
-    queue_bound: int,
-    kill_at: int | None = None,
-    kill_shard: int | None = None,
-) -> tuple[dict[str, list[dict]], "object"]:
-    """Drive *stream* through a :class:`~repro.serving.shards.ShardRouter`.
-
-    With *kill_at*/*kill_shard* set, the stream pauses at that index,
-    the fleet quiesces (``sync``: all accepted work including trailing
-    auto-swaps fully processed and persisted), the worker is killed and
-    its respawn awaited, then the rest of the stream proceeds — the
-    deterministic boundary :func:`run_requests_serial` models with its
-    ``kill`` parameter.
-    """
+    kill: tuple[int, int] | None = None,
+):
+    """Serve *stream* through a fresh :class:`ShardRouter` over a scratch
+    registry and compare it with *serial*; returns the point row and the
+    stopped router."""
     from ..serving.shards import ShardRouter
 
-    router = ShardRouter(
-        build_tenant_apps,
-        (tenants,),
-        shards=shards,
-        registry_dir=registry_dir,
-        config=config,
-        refit_interval=refit_interval,
-        queue_bound=queue_bound,
-    )
-    await router.start()
-    cut = len(stream) if kill_at is None else kill_at
+    scratch = tempfile.mkdtemp(prefix="repro-shard-registry-")
     try:
-        responses = await _submit_paced(router, stream[:cut])
-        if kill_at is not None:
-            await router.sync()
-            router.kill_shard(kill_shard)
-            await router.wait_respawn(kill_shard)
-            responses += await _submit_paced(router, stream[cut:])
+        router = ShardRouter(
+            build_tenant_apps,
+            (tenants,),
+            shards=shards,
+            registry_dir=scratch,
+            config=config,
+            refit_interval=refit_interval,
+            queue_bound=max(64, len(stream)),
+        )
+        clock = time.perf_counter()
+        responses = asyncio.run(_serve(router, stream, kill))
+        wall = time.perf_counter() - clock
     finally:
-        await router.stop()
-    return _response_bodies(stream, responses, router._tenant_names), router
+        shutil.rmtree(scratch, ignore_errors=True)
+    mismatches = _compare_outcomes(serial, _response_bodies(stream, responses))
+    point = {
+        "shards": shards,
+        "wall_s": wall,
+        "rps": len(stream) / wall if wall else 0.0,
+        "identical": not mismatches,
+        "mismatches": mismatches,
+    }
+    return point, router
 
 
 def run_sharded_study(
@@ -750,85 +733,42 @@ def run_sharded_study(
     persisted swap), so bit-identity must hold *through* the kill.
     """
     stream = generate_fleet_requests(seed, requests, tenants)
-    serial = run_requests_serial(
-        stream, tenants=tenants, refit_interval=refit_interval, config=config
-    )
+    options = dict(tenants=tenants, refit_interval=refit_interval, config=config)
+    serial = run_requests_serial(stream, **options)
     result = ShardStudyResult(
         requests=requests, tenants=len({r["app"] for r in stream})
     )
-
     for shards in shard_counts:
-        scratch = tempfile.mkdtemp(prefix="repro-shard-registry-")
-        try:
-            clock = time.perf_counter()
-            served, router = asyncio.run(
-                _serve_requests_sharded(
-                    stream,
-                    shards=shards,
-                    tenants=tenants,
-                    refit_interval=refit_interval,
-                    config=config,
-                    registry_dir=scratch,
-                    queue_bound=max(64, requests),
-                )
-            )
-            wall = time.perf_counter() - clock
-        finally:
-            shutil.rmtree(scratch, ignore_errors=True)
-        mismatches = _compare_outcomes(serial, served)
-        result.points.append({
-            "shards": shards,
-            "wall_s": wall,
-            "rps": requests / wall if wall else 0.0,
-            "identical": not mismatches,
-            "mismatches": mismatches,
-        })
+        point, _ = _sharded_point(stream, serial, shards, **options)
+        result.points.append(point)
 
-    if kill:
-        shards = max(shard_counts)
-        # Kill a shard that owns at least one tenant, at mid-stream.
-        from ..serving.shards import shard_of
-
-        names = sorted({r["app"] for r in stream})
-        kill_shard = shard_of(names[0], shards)
-        kill_at = len(stream) // 2
-        serve_scratch = tempfile.mkdtemp(prefix="repro-shard-kill-")
-        serial_scratch = tempfile.mkdtemp(prefix="repro-shard-killbase-")
-        try:
-            served, router = asyncio.run(
-                _serve_requests_sharded(
-                    stream,
-                    shards=shards,
-                    tenants=tenants,
-                    refit_interval=refit_interval,
-                    config=config,
-                    registry_dir=serve_scratch,
-                    queue_bound=max(64, requests),
-                    kill_at=kill_at,
-                    kill_shard=kill_shard,
-                )
-            )
-            serial_kill = run_requests_serial(
-                stream,
-                tenants=tenants,
-                refit_interval=refit_interval,
-                config=config,
-                registry_dir=serial_scratch,
-                kill=(kill_at, kill_shard, shards),
-            )
-        finally:
-            shutil.rmtree(serve_scratch, ignore_errors=True)
-            shutil.rmtree(serial_scratch, ignore_errors=True)
-        mismatches = _compare_outcomes(serial_kill, served)
-        result.kill_shards = shards
-        result.kill_killed_shard = kill_shard
-        result.kill_at = kill_at
-        result.kill_respawns = router._shards[kill_shard].respawns
-        result.kill_degradations = len(router.report)
-        result.kill_identical = not mismatches
-        result.kill_mismatches = mismatches
-    else:
+    if not kill:
         result.kill_identical = True
+        return result
+    from ..serving.shards import shard_of
+
+    shards = max(shard_counts)
+    # Kill a shard that owns at least one tenant, at mid-stream.
+    kill_shard = shard_of(sorted({r["app"] for r in stream})[0], shards)
+    kill_at = len(stream) // 2
+    serial_scratch = tempfile.mkdtemp(prefix="repro-shard-killbase-")
+    try:
+        serial_kill = run_requests_serial(
+            stream, registry_dir=serial_scratch,
+            kill=(kill_at, kill_shard, shards), **options,
+        )
+    finally:
+        shutil.rmtree(serial_scratch, ignore_errors=True)
+    point, router = _sharded_point(
+        stream, serial_kill, shards, kill=(kill_at, kill_shard), **options
+    )
+    result.kill_shards = shards
+    result.kill_killed_shard = kill_shard
+    result.kill_at = kill_at
+    result.kill_respawns = router._shards[kill_shard].respawns
+    result.kill_degradations = len(router.report)
+    result.kill_identical = point["identical"]
+    result.kill_mismatches = point["mismatches"]
     return result
 
 

@@ -30,25 +30,14 @@ class Table1Row:
 
 
 def summarize(
-    result: ExperimentResult, config: VMConfig | None = None
+    result: ExperimentResult, config: VMConfig = DEFAULT_CONFIG
 ) -> Table1Row:
-    """Fold one benchmark's experiment into its Table I row.
-
-    Model statistics come from the live ``evolve_vm`` when the serial
-    runner produced the result, and from the pickle-safe
-    ``evolve_summary`` snapshot when the parallel engine did.
-    """
-    if config is None:
-        config = result.evolve_vm.config if result.evolve_vm else DEFAULT_CONFIG
+    """Fold one benchmark's experiment into its Table I row; model
+    statistics come from the ``evolve_summary`` snapshot."""
     times = [config.seconds(t) for t in result.default_times()]
-    if result.evolve_vm is not None:
-        features_total = result.evolve_vm.models.raw_feature_count()
-        features_used = len(result.evolve_vm.models.used_features())
-    elif result.evolve_summary is not None:
-        features_total = result.evolve_summary["features_total"]
-        features_used = len(result.evolve_summary["features_used"])
-    else:
-        features_total = features_used = 0
+    summary = result.evolve_summary or {}
+    features_total = summary.get("features_total", 0)
+    features_used = len(summary.get("features_used", ()))
     accuracies = result.accuracies()
     confidences = result.confidences()
     return Table1Row(

@@ -132,6 +132,11 @@ def error_response(request: dict, exc: BaseException) -> dict:
 # JSONL framing for the TCP transport
 # ---------------------------------------------------------------------------
 
+#: Longest line, newline included, that a peer reading with asyncio's
+#: default ``StreamReader`` limit (64 KiB) can ``readline``.
+LINE_LIMIT = 2 ** 16
+
+
 def encode_line(obj: dict) -> bytes:
     """One message, one line (sorted keys: byte-stable for tests/logs).
 

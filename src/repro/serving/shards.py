@@ -21,7 +21,8 @@ without changing any per-tenant semantics:
   are written in submission order over one connection. The router
   duck-types :meth:`FleetServer.submit`, so the public TCP transport
   (:func:`~repro.serving.server.serve_tcp`) works unchanged on top.
-- **Death and respawn**: a dead worker fails its in-flight requests
+- **Death and respawn**: a dead worker — or one whose connection
+  carries a line the router cannot read — fails its in-flight requests
   with machine-readable 500s (never a hang), lands a degradation record
   plus a ``serve_shard`` telemetry event, and is respawned immediately;
   the replacement cold-starts its tenants from the envelope — model
@@ -49,6 +50,7 @@ from pathlib import Path
 
 from ..resilience.degradation import DegradationReport
 from .protocol import (
+    LINE_LIMIT,
     SHARD_SHUTDOWN_OP,
     SHARD_SYNC_OP,
     bad_request_response,
@@ -91,8 +93,11 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
     once: each line is admitted synchronously in arrival order (so
     per-connection admission order is exactly the router's submission
     order) and its response is written whenever it completes, tagged
-    with the request's echoed ``rid``. Control ops short-circuit before
-    schema validation; ``__shutdown__`` resolves the returned future.
+    with the request's echoed ``rid``. A reply longer than
+    :data:`~repro.serving.protocol.LINE_LIMIT` goes out as a 500 for its
+    ``rid`` instead, since the router could not read it. Control ops
+    short-circuit before schema validation; ``__shutdown__`` resolves the
+    returned future.
     """
     loop = asyncio.get_running_loop()
     finished: asyncio.Future = loop.create_future()
@@ -105,8 +110,14 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
             response = dict(await future)
             if rid is not None:
                 response["rid"] = rid
+            line = encode_line(response)
+            if len(line) > LINE_LIMIT:
+                line = encode_line(dict(error_response({}, ValueError(
+                    f"reply of {len(line)} bytes exceeds the "
+                    f"{LINE_LIMIT}-byte line limit"
+                )), rid=rid))
             async with write_lock:
-                writer.write(encode_line(response))
+                writer.write(line)
                 await writer.drain()
 
         def spawn_reply(rid, future) -> None:
@@ -465,16 +476,20 @@ class ShardRouter:
                 entry = shard.pending.pop(rid, None)
                 if entry is not None and not entry[0].done():
                     entry[0].set_result(response)
-        except (ConnectionError, OSError):
+        except (ConnectionError, OSError, ValueError):
+            # ValueError: a line over the reader's limit. The stream can
+            # no longer be matched to its requests, so the shard dies.
             pass
         if not self._stopping:
             await self._handle_death(shard)
 
     async def _handle_death(self, shard: _Shard) -> None:
-        """A worker died mid-stream: fail what it held, record it, and
-        respawn — degradation recorded, never a hang."""
+        """A worker died or its stream broke mid-stream: kill it, fail
+        what it held, record it, and respawn — degradation recorded,
+        never a hang."""
         shard.connected.clear()
         shard.respawns += 1
+        self.kill_shard(shard.index)
         if shard.writer_task is not None:
             shard.writer_task.cancel()
         failed = list(shard.pending.values())

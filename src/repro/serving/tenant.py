@@ -35,7 +35,7 @@ from __future__ import annotations
 from collections import deque
 
 from ..core.application import Application
-from ..core.evolvable import EvolvableVM, RunOutcome
+from ..core.evolvable import DRIFT_WINDOW, EvolvableVM, RunOutcome
 from ..core.records import restore_state, state_to_dict
 from ..resilience.quarantine import quarantine_file
 from ..vm.config import DEFAULT_CONFIG, VMConfig
@@ -346,7 +346,7 @@ class Tenant:
                 report=report,
             )
         for method in self.vm.models.method_names:
-            self.vm.models.trim_method_history(method, self.vm.drift_window)
+            self.vm.models.trim_method_history(method, DRIFT_WINDOW)
         self.vm.models.refit_all()
         if self.vm.drift is not None:
             self.vm.drift.reset()
@@ -355,7 +355,7 @@ class Tenant:
         report.record(
             "serving", "forced-retrain", "repeated-rollbacks",
             detail=f"tenant {self.name}: re-trained from the last "
-            f"{self.vm.drift_window} observations per method as "
+            f"{DRIFT_WINDOW} observations per method as "
             f"generation {generation}",
             path=str(state_path) if state_path else None,
         )

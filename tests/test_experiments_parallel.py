@@ -36,6 +36,9 @@ def _square(x):
 
 
 class TestMapParallelChunksize:
+    """map_parallel submits one item per pool task; results come back in
+    item order on the pool and inline alike."""
+
     ITEMS = list(range(23))
     WANT = [x * x for x in ITEMS]
 
@@ -43,25 +46,10 @@ class TestMapParallelChunksize:
         results, _ = map_parallel(_square, self.ITEMS, jobs=2)
         assert results == self.WANT
 
-    def test_chunked_results_identical_to_unchunked(self):
-        # Any chunksize returns the identical result list — only the
-        # pool transport granularity changes.
-        for chunksize in (1, 3, 7, 100):
-            results, _ = map_parallel(
-                _square, self.ITEMS, jobs=2, chunksize=chunksize
-            )
-            assert results == self.WANT, chunksize
-
     def test_chunksize_inline_path(self):
-        results, parallel = map_parallel(
-            _square, self.ITEMS, jobs=1, chunksize=4
-        )
+        results, parallel = map_parallel(_square, self.ITEMS, jobs=1)
         assert results == self.WANT
         assert parallel is False
-
-    def test_chunksize_validated(self):
-        with pytest.raises(ValueError):
-            map_parallel(_square, self.ITEMS, jobs=2, chunksize=0)
 
 
 @pytest.fixture(scope="module")
@@ -93,20 +81,6 @@ class TestParallelMatchesSerial:
                 getattr(serial, scenario), getattr(par, scenario), scenario
             )
 
-    def test_benchmark_grain_bitwise_identical(self, serial):
-        report = run_sweep(
-            [get_benchmark("Search")],
-            jobs=2,
-            seed=SEED,
-            runs=RUNS,
-            grain="benchmark",
-        )
-        par = report.results[0]
-        for scenario in ("default", "rep", "evolve"):
-            assert_outcomes_identical(
-                getattr(serial, scenario), getattr(par, scenario), scenario
-            )
-
     def test_evolve_summary_matches_serial(self, serial):
         par = run_experiment(
             get_benchmark("Search"), seed=SEED, runs=RUNS, jobs=2
@@ -133,9 +107,7 @@ class TestParallelMatchesSerial:
 
 class TestCellPlanning:
     def test_stateful_scenarios_are_never_split(self):
-        cells = plan_cells(
-            get_benchmark("Search"), seed=SEED, runs=20, chunk=4
-        )
+        cells = plan_cells(get_benchmark("Search"), seed=SEED, runs=20)
         for cell in cells:
             if set(cell.scenarios) & STATEFUL_SCENARIOS:
                 assert (cell.start, cell.stop) == (0, 20)
@@ -144,19 +116,15 @@ class TestCellPlanning:
         cells = plan_cells(
             get_benchmark("Search"),
             seed=SEED,
-            runs=10,
-            chunk=4,
+            runs=2 * DEFAULT_CHUNK + 4,
             scenarios=("default",),
         )
         ranges = [(c.start, c.stop) for c in cells]
-        assert ranges == [(0, 4), (4, 8), (8, 10)]
-
-    def test_benchmark_grain_is_one_cell(self):
-        cells = plan_cells(
-            get_benchmark("Search"), seed=SEED, runs=10, grain="benchmark"
-        )
-        assert len(cells) == 1
-        assert cells[0].scenarios == ("default", "rep", "evolve")
+        assert ranges == [
+            (0, DEFAULT_CHUNK),
+            (DEFAULT_CHUNK, 2 * DEFAULT_CHUNK),
+            (2 * DEFAULT_CHUNK, 2 * DEFAULT_CHUNK + 4),
+        ]
 
     def test_cache_key_independent_of_jobs(self):
         # Chunk boundaries are fixed, so keys are too — changing --jobs
@@ -294,20 +262,20 @@ class TestTelemetry:
 
 class TestWorker:
     def test_execute_cell_runs_requested_range_only(self):
+        runs = DEFAULT_CHUNK + 4
         cells = plan_cells(
             get_benchmark("Search"),
             seed=SEED,
-            runs=10,
-            chunk=4,
+            runs=runs,
             scenarios=("default",),
         )
         payload = execute_cell(cells[1])
         outs = payload["outcomes"]["default"]
         assert len(outs) == 4
         serial = run_experiment(
-            get_benchmark("Search"), seed=SEED, runs=10, scenarios=("default",)
+            get_benchmark("Search"), seed=SEED, runs=runs, scenarios=("default",)
         )
-        assert_outcomes_identical(serial.default[4:8], outs, "default")
+        assert_outcomes_identical(serial.default[DEFAULT_CHUNK:], outs, "default")
 
 
 class TestSweepCLI:

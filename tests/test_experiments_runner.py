@@ -78,3 +78,24 @@ class TestRunnerParameterPlumbing:
             scenarios=("default", "evolve"),
         )
         assert result.evolve_vm.config.sample_interval == 80_000
+
+    def test_every_scenario_runs_on_the_requested_engine(self, monkeypatch):
+        from repro.experiments import run_sweep
+        from repro.vm import interpreter
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the fast engine ran under engine='reference'")
+
+        monkeypatch.setattr(interpreter, "run_fast", refuse)
+        report = run_sweep(
+            [get_benchmark("Search")],
+            jobs=1,
+            runs=2,
+            scenarios=("default", "rep", "evolve", "phase"),
+            engine="reference",
+            backoff_s=0.0,
+        )
+        assert report.cells_failed == 0, report.failures
+        result = report.results[0]
+        for scenario in ("default", "rep", "evolve", "phase"):
+            assert len(getattr(result, scenario)) == 2, scenario
