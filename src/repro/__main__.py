@@ -30,9 +30,8 @@ cache; ``sweep`` caches by default; ``--no-jit-cache`` additionally
 disables the cross-run JIT artifact cache). ``fuzz`` adds
 ``--iterations N``, ``--time-budget SECONDS``, ``--corpus-dir PATH``
 (write minimized reproducers there; exit status 1 when any divergence is
-found), and ``--engines`` (cross-check the fast and closure-compiled
-engines against the reference interpreter instead of the pass matrix).
-Bare ``bench`` runs
+found); every program runs through the one differential matrix, every
+compilation config on every engine. Bare ``bench`` runs
 the wall-clock VM benchmark suite — interpreter workloads, a sweep cell,
 fuzz throughput, and the learning layer (training rows/s, fast-vs-
 reference model-construction speedup with identical-tree checks, and
@@ -143,13 +142,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="fuzz: write minimized reproducers (.ml + .json) to PATH",
-    )
-    parser.add_argument(
-        "--engines",
-        action="store_true",
-        help="fuzz: compare the fast and closure-compiled engines "
-        "against the reference interpreter (clocks, samples, compile "
-        "events) instead of the pass matrix",
     )
     parser.add_argument(
         "--no-jit-cache",
@@ -458,7 +450,6 @@ def main(argv: list[str] | None = None) -> int:
             time_budget=options.time_budget,
             jobs=options.jobs,
             corpus_dir=options.corpus_dir,
-            engine_check=options.engines,
         )
         print(f"fuzz seed={report.seed}: {report.describe()}")
         for finding in report.findings:

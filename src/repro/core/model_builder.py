@@ -227,7 +227,7 @@ class ModelBuilder:
     def predict_all_batch(
         self, fvectors: list[FeatureVector]
     ) -> list[dict[str, object]]:
-        """Batched :meth:`predict_all`: one level-synchronous kernel call
+        """Batched :meth:`predict_all`: one compiled batch-kernel call
         (:meth:`~repro.learning.flat.FlatForest.predict_batch`) answering
         the whole query matrix, bit-identical to calling
         :meth:`predict_all` per vector. The serving layer routes drained

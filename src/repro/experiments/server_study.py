@@ -587,7 +587,7 @@ def run_fleet_study(
     )
 
     mismatches = _compare_outcomes(serial, _response_bodies(stream, responses))
-    latencies = server.stats.latencies_ms
+    latencies = [r["wall_ms"] for r in responses if r["status"] == 200]
     summary = {
         "p50": _percentile(latencies, 0.50),
         "p95": _percentile(latencies, 0.95),

@@ -15,30 +15,21 @@ per-run query:
 - :class:`FlatForest` — every method's flat tree over one shared column
   universe. ``predict_all`` projects the input feature vector **once**
   and routes it through all trees in a single pass.
-- **Batched inference** (``predict_batch`` / ``predict_values_batch``) —
-  the serving hot path hands the forest a whole *matrix* of queries at
-  once instead of re-descending every tree per row. Two tiers answer it:
-
-  1. ``FlatTree.predict_values_batch`` is the portable **level-
-     synchronous kernel**: the live query set is partitioned by tree
-     node at each depth level, so every node's split parameters are
-     read exactly once per level no matter how many rows sit at it.
-  2. ``FlatForest.predict_batch`` compiles (lazily, once per forest)
-     a **specialized batch program** — the whole forest emitted as one
-     generated function whose row loop loads each used column into a
-     local once and runs every tree as nested ``if``/``else`` with the
-     missing-value routing folded into short-circuit guards. This is
-     the same move the execution side makes in
-     :mod:`repro.vm.closures` (compile the structure once, then run
-     straight-line Python), and it is what clears the 2x batch-speedup
-     bar that pure array traversal cannot. Trees too deep to inline
-     (or a forest whose codegen fails for any reason) fall back to the
-     level-synchronous kernel.
+- **Batched inference** (``predict_batch``) — the serving hot path
+  hands the forest a whole *matrix* of queries at once instead of
+  re-descending every tree per row. ``FlatForest.predict_batch``
+  compiles (lazily, once per forest) a **specialized batch program** —
+  the whole forest emitted as one generated function whose row loop
+  loads each used column into a local once and runs every tree as
+  nested ``if``/``else`` with the missing-value routing folded into
+  short-circuit guards. This is the same move the execution side makes
+  in :mod:`repro.vm.closures` (compile the structure once, then run
+  straight-line Python). Trees too deep to inline are answered per row
+  by ``predict_values``.
 
   Per-row decisions (tie-breaks, missing-feature routing) are
-  byte-for-byte the ones ``predict_values`` makes in both tiers, so
-  batch results are bit-identical to the per-row path — a hypothesis
-  suite asserts it.
+  byte-for-byte the ones ``predict_values`` makes, so batch results are
+  bit-identical to the per-row path — a hypothesis suite asserts it.
 
 Flattening happens off the critical path (at ``refit`` time); the
 startup path only reads arrays. The batch program compiles on the
@@ -61,7 +52,7 @@ _LITERAL_TYPES = (int, str, bool, float, type(None))
 
 #: Trees deeper than this are not inlined into the generated batch
 #: program (nesting depth is bounded by the tokenizer's indent limit);
-#: they answer through the level-synchronous array kernel instead.
+#: they answer per row through ``predict_values`` instead.
 _MAX_INLINE_DEPTH = 60
 
 
@@ -142,69 +133,6 @@ class FlatTree:
             i = self.left[i] if go_left else self.right[i]
         return self.label[i]
 
-    def predict_values_batch(self, rows) -> list:
-        """Predict every row of *rows* in one level-synchronous pass.
-
-        *rows* is a sequence of value tuples aligned to this tree's
-        (possibly forest-remapped) feature indices. The live query set is
-        partitioned by node per depth level: each node's split parameters
-        load once per level and route every row sitting at that node, so
-        the per-row inner loop is two subscripts, one comparison, and one
-        append. Row-level routing (missing values to the larger child,
-        numeric ``<=`` vs. categorical ``==``) is exactly
-        :meth:`predict_values`, making the result bit-identical to
-        calling it per row.
-        """
-        n = len(rows)
-        out = [None] * n
-        if n == 0:
-            return out
-        feature = self.feature
-        numeric = self.numeric
-        threshold = self.threshold
-        left = self.left
-        right = self.right
-        missing_left = self.missing_left
-        label = self.label
-        # (node, live-row-indices) groups for the current level. Child
-        # pointers are unique, so groups never merge across parents.
-        frontier: list[tuple[int, list[int]]] = [(0, list(range(n)))]
-        while frontier:
-            deeper: list[tuple[int, list[int]]] = []
-            for node, live in frontier:
-                f = feature[node]
-                if f == _LEAF:
-                    lab = label[node]
-                    for r in live:
-                        out[r] = lab
-                    continue
-                th = threshold[node]
-                ml = missing_left[node]
-                go_left: list[int] = []
-                go_right: list[int] = []
-                push_left = go_left.append
-                push_right = go_right.append
-                if numeric[node]:
-                    for r in live:
-                        v = rows[r][f]
-                        if ml if v is None else v <= th:
-                            push_left(r)
-                        else:
-                            push_right(r)
-                else:
-                    for r in live:
-                        v = rows[r][f]
-                        if ml if v is None else v == th:
-                            push_left(r)
-                        else:
-                            push_right(r)
-                if go_left:
-                    deeper.append((left[node], go_left))
-                if go_right:
-                    deeper.append((right[node], go_right))
-            frontier = deeper
-        return out
-
 
 def _literal(value, consts: list) -> str:
     """Source form of *value* for the generated batch program.
@@ -267,8 +195,8 @@ def _compile_batch_program(forest: "FlatForest"):
     Returns ``(fn, consts, skipped)`` where *fn* has signature
     ``fn(rows, out, _K)`` appending one ``{method: label}`` dict per row
     (skipped tree indices excluded), *consts* is the constant pool, and
-    *skipped* indexes trees too deep to inline (answered by the
-    level-synchronous kernel instead).
+    *skipped* indexes trees too deep to inline (answered per row by
+    ``predict_values`` instead).
     """
     consts: list = []
     lit = lambda value: _literal(value, consts)  # noqa: E731
@@ -374,9 +302,8 @@ class FlatForest:
         Each vector is projected onto the shared column universe once;
         the whole query matrix then runs through the compiled batch
         program (see module docstring), with any non-inlinable trees
-        answered by the level-synchronous kernel
-        (:meth:`FlatTree.predict_values_batch`). Returns one
-        ``{method: label}`` dict per input vector, in input order,
+        answered per row by :meth:`FlatTree.predict_values`. Returns
+        one ``{method: label}`` dict per input vector, in input order,
         bit-identical to ``[self.predict_all(v) for v in vectors]``.
         """
         if not vectors:
@@ -392,9 +319,9 @@ class FlatForest:
         self._batch_fn(rows, results, self._batch_consts)
         for ti in self._batch_skipped:
             name = self.names[ti]
-            labels = self.trees[ti].predict_values_batch(rows)
-            for result, lab in zip(results, labels):
-                result[name] = lab
+            predict = self.trees[ti].predict_values
+            for result, row in zip(results, rows):
+                result[name] = predict(row)
         return results
 
 

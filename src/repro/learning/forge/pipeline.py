@@ -26,7 +26,6 @@ from random import Random
 from ...experiments.parallel import map_parallel
 from ...testing.differential import compile_module
 from ...testing.generator import generate
-from ...vm.config import VMConfig
 from ...vm.opt.jit import JITCompiler
 from .features import forge_columns, forge_kinds, program_features, row_values
 from .labeler import FORGE_CONFIG, label_forked
@@ -183,12 +182,7 @@ def _forge_worker(item: tuple) -> tuple[list, int]:
     (program index, input index, method name) order — fully
     deterministic, so the caller can stream them straight into shards.
     """
-    seed, start, count, inputs_per_program, max_instructions, profile = item
-    config = (
-        FORGE_CONFIG
-        if max_instructions is None
-        else VMConfig(max_instructions=max_instructions)
-    )
+    seed, start, count, inputs_per_program, profile = item
     rows: list = []
     faulted = 0
     for index in range(start, start + count):
@@ -197,13 +191,14 @@ def _forge_worker(item: tuple) -> tuple[list, int]:
             wrap_workload(gp.module) if profile == "workload" else gp.module
         )
         program = compile_module(module)
-        jit = JITCompiler(program, config)
+        jit = JITCompiler(program, FORGE_CONFIG)
         plan_cache: dict = {}
         pfeats = program_features(program)
         for k in range(inputs_per_program):
             args = input_args(seed, index, k, gp.args, profile=profile)
             labels = label_forked(
-                program, args, config=config, jit=jit, plan_cache=plan_cache
+                program, args, config=FORGE_CONFIG, jit=jit,
+                plan_cache=plan_cache,
             )
             if labels.fault is not None:
                 faulted += 1
@@ -230,12 +225,7 @@ def run_forge(
     seed: int = 0,
     jobs: int = 1,
     shard_rows: int = 50_000,
-    max_instructions: int | None = None,
     train: bool = True,
-    train_jobs: int | None = None,
-    prior_min_rows: int = 8,
-    prior_tree_params=None,
-    engine: str = "auto",
     input_profile: str = "fuzz",
 ) -> tuple[ForgeStats, CrossProgramPrior | None]:
     """Run the full pipeline; returns (stats, trained prior or ``None``).
@@ -257,7 +247,6 @@ def run_forge(
             start,
             min(CHUNK_PROGRAMS, programs - start),
             inputs_per_program,
-            max_instructions,
             input_profile,
         )
         for start in range(0, programs, CHUNK_PROGRAMS)
@@ -282,18 +271,9 @@ def run_forge(
         stats.rows_per_s_generated = stats.rows / stats.label_s
     prior: CrossProgramPrior | None = None
     if train and stats.rows:
-        if prior_tree_params is not None:
-            prior = CrossProgramPrior(
-                tree_params=prior_tree_params,
-                min_rows=prior_min_rows,
-                engine=engine,
-            )
-        else:
-            prior = CrossProgramPrior(min_rows=prior_min_rows, engine=engine)
+        prior = CrossProgramPrior()
         t0 = time.perf_counter()
-        prior.fit_from_store(
-            ShardStore(out_dir), jobs=train_jobs if train_jobs else jobs
-        )
+        prior.fit_from_store(ShardStore(out_dir), jobs=jobs)
         stats.train_s = time.perf_counter() - t0
         if stats.train_s > 0:
             stats.rows_per_s_trained = stats.rows / stats.train_s

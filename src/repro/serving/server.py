@@ -39,7 +39,7 @@ import asyncio
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..experiments.telemetry import TelemetryLog, serve_event
 from .protocol import (
@@ -75,7 +75,6 @@ class ServerStats:
     batch_hops: int = 0
     batch_size_max: int = 0
     batch_size_sum: int = 0
-    latencies_ms: list[float] = field(default_factory=list)
 
     def note_batch(self, size: int) -> None:
         self.batch_hops += 1
@@ -335,7 +334,6 @@ class FleetServer:
         for (request, future, admitted), payload in zip(batch, payloads):
             wall_ms = (now - admitted) * 1000.0
             self.stats.served += 1
-            self.stats.latencies_ms.append(wall_ms)
             if self.telemetry is not None:
                 self.telemetry.append(
                     serve_event(

@@ -6,9 +6,13 @@ Pieces, in data-flow order:
   (terminating, fault-free, numerically tame by construction);
 - :mod:`.render` — AST → MiniLang source, so corpus entries are plain
   readable programs;
-- :mod:`.differential` — one program through the interpreter, every opt
-  level, and every single-pass pipeline; level-invariant observables
-  (result, output trace, heap-effect summary) must match;
+- :mod:`.differential` — the one oracle: one program through a matrix
+  of variants, every compilation config (``base``, every opt level,
+  every single-pass pipeline) crossed with every engine (``reference``,
+  ``fast``, ``compiled``). Each engine must match the reference engine
+  at its own config on every observable, clocks included; each config
+  must match the ``base`` reference on result, output trace and
+  heap-effect summary;
 - :mod:`.minimize` — delta-debugging reducer for diverging programs;
 - :mod:`.corpus` — minimized reproducers stored under ``tests/corpus/``
   and replayed by the tier-1 suite;
@@ -17,25 +21,17 @@ Pieces, in data-flow order:
 
 from .corpus import CorpusEntry, load_corpus, replay_corpus, save_reproducer
 from .differential import (
-    ENGINE_LEVELS,
-    ENGINE_SET,
     FUZZ_CONFIG,
     PASS_REGISTRY,
     REFERENCE,
     DifferentialReport,
     Divergence,
-    EngineDivergence,
-    EngineObservation,
-    EngineReport,
     Outcome,
     Variant,
-    compare_engines,
     compile_module,
     default_variants,
-    execute_engine,
     execute_variant,
     module_diverges,
-    module_engine_diverges,
     run_differential,
 )
 from .fuzz import FuzzFinding, FuzzReport, run_fuzz
@@ -47,11 +43,6 @@ __all__ = [
     "CorpusEntry",
     "DifferentialReport",
     "Divergence",
-    "ENGINE_LEVELS",
-    "ENGINE_SET",
-    "EngineDivergence",
-    "EngineObservation",
-    "EngineReport",
     "FUZZ_CONFIG",
     "FuzzFinding",
     "FuzzReport",
@@ -60,17 +51,14 @@ __all__ = [
     "PASS_REGISTRY",
     "REFERENCE",
     "Variant",
-    "compare_engines",
     "compile_module",
     "default_variants",
-    "execute_engine",
     "execute_variant",
     "generate",
     "generate_batch",
     "load_corpus",
     "minimize",
     "module_diverges",
-    "module_engine_diverges",
     "render_module",
     "replay_corpus",
     "run_differential",

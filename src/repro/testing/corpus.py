@@ -2,10 +2,11 @@
 
 Each corpus entry is an ordinary MiniLang source file (``<name>.ml``)
 with a JSON sidecar (``<name>.json``) recording how it was found: the
-fuzz seed and iteration index, the entry arguments, and which variants
-diverged at the time. The tier-1 suite replays every entry through the
-full differential matrix and asserts **zero** divergences — an entry
-that diverges again means a fixed bug has reappeared.
+fuzz seed and iteration index, the entry arguments, and the labels of
+the variants that diverged at the time. The tier-1 suite replays every
+entry through the full differential matrix — every config on every
+engine — and asserts **zero** divergences: an entry that diverges again
+means a fixed bug has reappeared.
 """
 
 from __future__ import annotations
@@ -15,13 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..lang.compiler import compile_source
-from ..vm.config import VMConfig
-from .differential import (
-    FUZZ_CONFIG,
-    DifferentialReport,
-    Variant,
-    run_differential,
-)
+from .differential import DifferentialReport, run_differential
 
 
 @dataclass(frozen=True)
@@ -89,13 +84,10 @@ def load_corpus(directory: str | Path) -> list[CorpusEntry]:
 
 def replay_corpus(
     directory: str | Path,
-    variants: tuple[Variant, ...] | None = None,
-    config: VMConfig = FUZZ_CONFIG,
 ) -> list[tuple[CorpusEntry, DifferentialReport]]:
-    """Re-run every corpus entry through the differential matrix."""
+    """Re-run every corpus entry through the full differential matrix."""
     results = []
     for entry in load_corpus(directory):
         program = compile_source(entry.source, name=entry.name)
-        report = run_differential(program, entry.args, variants, config)
-        results.append((entry, report))
+        results.append((entry, run_differential(program, entry.args)))
     return results

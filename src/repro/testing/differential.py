@@ -1,28 +1,37 @@
-"""Differential execution: one program, every compilation configuration.
+"""Differential execution: one program, a matrix of variants, one reference.
 
-The oracle behind the fuzzing harness (in the spirit of compilation-
-forking): run the same program
+The oracle behind the fuzzing harness (in the spirit of compilation
+forking). A *variant* is a (compilation config, engine) pair, and the
+default matrix crosses every config
 
-- through the plain interpreter (every method stays at the baseline
-  level — the reference semantics),
-- through the JIT pipeline forced to each optimization level, and
-- through the level-2 pipeline restricted to each single pass,
+- ``base`` — nothing pinned: every method stays at the baseline level,
+- ``L0``/``L1``/``L2`` — every method forced to that level, and
+- ``pass:<name>`` — the level-2 pipeline restricted to one pass,
 
-and require that every configuration observes the identical **result**,
-**output trace** (``print`` lines), and **heap-effect summary**
-(allocation volume/count, GC count and pause cycles, peak live bytes).
-Cycle counts legitimately differ between levels — that is the entire
-point of tiered compilation — so they are excluded from the comparison.
+with every engine: ``reference`` (the executable specification),
+``fast`` and ``compiled``. One two-part rule judges the matrix:
 
-Resource-limit outcomes (fuel, stack depth) in the *reference* make a
-program incomparable and are reported as skipped: tail-call elimination
-legitimately turns stack-overflow programs into loops. Programs from
-:mod:`repro.testing.generator` never hit either limit by construction.
+1. **Engines.** Every run must match the ``reference`` engine at its own
+   config on every observable: result, output trace, heap-effect
+   summary, clocks, samples, per-method cycle/work accounts, final
+   levels and compile events. When either run faulted, only the fault
+   type, output and heap are compared: the engines batch sampler
+   bookkeeping differently, so mid-fault bookkeeping is only loosely
+   defined (a tick crossed by the instruction that faults may or may not
+   have been registered yet).
+2. **Configs.** Every config's ``reference`` run must match the ``base``
+   reference on result, output, heap and fault type. Cycle counts are
+   excluded — that they differ between levels is the entire point of
+   tiered compilation. A resource limit (fuel, stack depth) in the
+   ``base`` run makes the configs incomparable, and the report is marked
+   skipped: tail-call elimination legitimately turns stack-overflow
+   programs into loops. Programs from :mod:`repro.testing.generator`
+   never hit either limit by construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 
 from ..lang import ast
 from ..lang.compiler import compile_source
@@ -65,41 +74,63 @@ FUZZ_CONFIG = VMConfig(max_instructions=2_000_000)
 
 @dataclass(frozen=True)
 class Variant:
-    """One compilation configuration of the differential matrix.
+    """One cell of the differential matrix: a compilation config on an engine.
 
-    ``level`` None means the plain interpreter (all methods baseline);
-    ``tier_passes`` overrides the pass pipelines (single-pass variants).
-    ``engine`` selects the dispatch engine. The ordinary matrix pins
-    ``fast`` (so pass/level divergence hunting doesn't pay closure
-    codegen for every variant of every program); cross-engine semantics
-    — including the compiled tier — are checked by the dedicated
-    engine-equivalence mode (:func:`compare_engines`, ``--engines``).
+    ``config`` names the compilation configuration. ``level`` None leaves
+    every method at baseline, otherwise every method is forced to
+    ``level`` on first invocation; ``tier_passes`` overrides the pass
+    pipelines (single-pass configs). ``engine`` selects the dispatch
+    engine; a config's ``reference`` run is the oracle for its other
+    engines.
     """
 
-    name: str
+    config: str
     level: int | None = None
     tier_passes: dict[int, tuple] | None = None
-    engine: str = "fast"
+    engine: str = "reference"
+
+    @property
+    def name(self) -> str:
+        """``L2`` for a config's reference run, ``L2:compiled`` otherwise."""
+        if self.engine == "reference":
+            return self.config
+        return f"{self.config}:{self.engine}"
+
+    def owns(self, label: str) -> bool:
+        """Whether finding *label* (:attr:`Divergence.label`) is this
+        variant's: a config label is the reference run's name, an engine
+        label the variant's name plus the diverging field."""
+        if self.engine == "reference":
+            return label == self.name
+        return label.startswith(f"{self.name}:")
 
 
 def default_variants() -> tuple[Variant, ...]:
-    """The full matrix: every opt level plus every single-pass config."""
-    variants = [Variant("L0", 0), Variant("L1", 1), Variant("L2", 2)]
+    """The full matrix: every config crossed with every engine."""
+    configs = [Variant("base")]
+    configs += [Variant(f"L{level}", level) for level in (0, 1, 2)]
     for name, fn in PASS_REGISTRY:
-        variants.append(Variant(f"pass:{name}", 2, {2: (fn,)}))
-    return tuple(variants)
+        configs.append(Variant(f"pass:{name}", 2, {2: (fn,)}))
+    return tuple(
+        replace(config, engine=engine)
+        for config in configs
+        for engine in ("reference", "fast", "compiled")
+    )
 
 
-REFERENCE = Variant("interp", None, None, engine="reference")
+#: The oracle every config is judged against.
+REFERENCE = Variant("base")
 
 
 @dataclass(frozen=True)
 class Outcome:
-    """What one execution observed, reduced to the level-invariant parts.
+    """What one execution observed.
 
     ``kind`` is ``ok`` (ran to completion), ``error`` (a program fault —
-    must reproduce identically in every configuration), or ``resource``
-    (fuel/stack limit — makes the program incomparable).
+    must reproduce identically in every variant), or ``resource``
+    (fuel/stack limit). A faulted run records only its fault type,
+    output and heap summary; a completed one also records its clocks,
+    samples, per-method accounts and compile events.
     """
 
     kind: str
@@ -107,6 +138,14 @@ class Outcome:
     error: str = ""
     output: tuple[str, ...] = ()
     heap: tuple = ()
+    total_cycles: float = 0.0
+    compile_cycles: float = 0.0
+    instructions: int = 0
+    samples: tuple = ()
+    method_cycles: tuple = ()
+    method_work: tuple = ()
+    final_levels: tuple = ()
+    compile_events: tuple = ()
 
     def describe(self) -> str:
         if self.kind == "ok":
@@ -114,18 +153,36 @@ class Outcome:
         return f"{self.kind}:{self.error}"
 
 
+#: What a config's reference run must share with ``base``.
+_CONFIG_FIELDS = ("kind", "value", "error", "output", "heap")
+#: What an engine must share with its config's reference when either faulted.
+_FAULT_FIELDS = ("kind", "error", "output", "heap")
+#: What an engine must share with its config's reference otherwise.
+_ENGINE_FIELDS = tuple(f.name for f in fields(Outcome))
+
+
 @dataclass(frozen=True)
 class Divergence:
-    """A variant that observed different semantics than the reference."""
+    """One observable on which a variant disagreed with its oracle."""
 
-    variant: str
-    reference: Outcome
-    observed: Outcome
+    variant: Variant
+    field: str
+    expected: str
+    observed: str
+
+    @property
+    def label(self) -> str:
+        """The finding label: the config name for a config divergence
+        (``pass:dce``), ``<config>:<engine>:<field>`` for an engine
+        divergence (``L2:compiled:total_cycles``)."""
+        if self.variant.engine == "reference":
+            return self.variant.name
+        return f"{self.variant.name}:{self.field}"
 
     def describe(self) -> str:
         return (
-            f"{self.variant}: expected {self.reference.describe()}, "
-            f"got {self.observed.describe()}"
+            f"{self.variant.name}: {self.field} expected {self.expected}, "
+            f"got {self.observed}"
         )
 
 
@@ -133,10 +190,14 @@ class Divergence:
 class DifferentialReport:
     """Outcome matrix of one program under every variant."""
 
-    reference: Outcome
+    reference: Outcome  # the base reference run
     outcomes: dict[str, Outcome] = field(default_factory=dict)
     divergences: list[Divergence] = field(default_factory=list)
-    skipped: bool = False  # reference hit a resource limit
+    skipped: bool = False  # base hit a resource limit: configs not compared
+
+    def labels(self) -> tuple[str, ...]:
+        """Distinct finding labels, in matrix order."""
+        return tuple(dict.fromkeys(d.label for d in self.divergences))
 
 
 def _heap_summary(interp: Interpreter) -> tuple:
@@ -159,7 +220,7 @@ def execute_variant(
     config: VMConfig = FUZZ_CONFIG,
     rng_seed: int = 0,
 ) -> Outcome:
-    """Run *program* under one compilation configuration."""
+    """Run *program* as one variant of the matrix."""
     jit = JITCompiler(program, config, tier_passes=variant.tier_passes)
     level = variant.level
     hook = None if level is None else (lambda name: level)
@@ -173,176 +234,19 @@ def execute_variant(
     )
     try:
         interp.run(args)
-    except (FuelExhaustedError, StackOverflowError) as exc:
-        return Outcome(
-            kind="resource",
-            error=type(exc).__name__,
-            output=tuple(interp.output),
-            heap=_heap_summary(interp),
-        )
     except ExecutionError as exc:
         # Compare faults by type: the message may embed configuration-
         # dependent detail (pcs shift under optimization), but whether and
         # how a program faults must not change.
+        limit = isinstance(exc, (FuelExhaustedError, StackOverflowError))
         return Outcome(
-            kind="error",
-            error=type(exc).__name__,
-            output=tuple(interp.output),
-            heap=_heap_summary(interp),
-        )
-    return Outcome(
-        kind="ok",
-        value=repr(interp.result),
-        output=tuple(interp.output),
-        heap=_heap_summary(interp),
-    )
-
-
-def run_differential(
-    program: Program,
-    args: tuple,
-    variants: tuple[Variant, ...] | None = None,
-    config: VMConfig = FUZZ_CONFIG,
-    rng_seed: int = 0,
-) -> DifferentialReport:
-    """Run the full differential matrix for one program."""
-    if variants is None:
-        variants = default_variants()
-    reference = execute_variant(program, args, REFERENCE, config, rng_seed)
-    report = DifferentialReport(reference=reference)
-    if reference.kind == "resource":
-        report.skipped = True
-        return report
-    for variant in variants:
-        observed = execute_variant(program, args, variant, config, rng_seed)
-        report.outcomes[variant.name] = observed
-        if observed != reference:
-            report.divergences.append(
-                Divergence(
-                    variant=variant.name, reference=reference, observed=observed
-                )
-            )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# Engine-equivalence mode: reference loop vs. fast vs. compiled tiers
-# ---------------------------------------------------------------------------
-
-#: Levels the engine comparison forces via the first-invocation hook
-#: (None = everything stays at baseline).
-ENGINE_LEVELS: tuple[int | None, ...] = (None, 0, 1, 2)
-
-#: Engines compared by default; the first entry is the oracle the others
-#: are diffed against.
-ENGINE_SET: tuple[str, ...] = ("reference", "fast", "compiled")
-
-
-@dataclass(frozen=True)
-class EngineObservation:
-    """Everything one engine observed — *including* the virtual clocks.
-
-    The ordinary differential matrix excludes cycle counts (levels differ
-    by design); between the two dispatch engines at the *same* level they
-    must match bit-for-bit, so this observation captures total cycles,
-    compile cycles, instruction count, per-method samples and cycle
-    accounts, and the full compile-event sequence. For ``error`` and
-    ``resource`` outcomes only the fault type, output, and heap summary
-    are compared: the engines batch sampler bookkeeping differently, so
-    mid-fault bookkeeping is only loosely defined (a tick crossed by the
-    instruction that faults may or may not have been registered yet).
-    """
-
-    kind: str
-    value: str = ""
-    error: str = ""
-    output: tuple[str, ...] = ()
-    heap: tuple = ()
-    total_cycles: float = 0.0
-    compile_cycles: float = 0.0
-    instructions: int = 0
-    samples: tuple = ()
-    method_cycles: tuple = ()
-    method_work: tuple = ()
-    final_levels: tuple = ()
-    compile_events: tuple = ()
-
-
-@dataclass(frozen=True)
-class EngineDivergence:
-    """One field where an engine disagreed with the oracle.
-
-    ``engine`` records which engine pair disagreed (oracle vs. this
-    engine) — minimized fuzz findings carry it through their labels, so
-    a reproducer names the culprit tier directly.
-    """
-
-    level: int | None
-    field: str
-    reference: str
-    observed: str
-    engine: str = "fast"
-
-    def describe(self) -> str:
-        label = "base" if self.level is None else f"L{self.level}"
-        return (
-            f"engines@{label} [reference vs {self.engine}]: {self.field} "
-            f"expected {self.reference}, got {self.observed}"
-        )
-
-
-@dataclass
-class EngineReport:
-    """Engine-equivalence matrix of one program across opt levels.
-
-    ``observations[level]`` maps engine name → what it observed.
-    """
-
-    observations: dict[object, dict[str, EngineObservation]] = field(
-        default_factory=dict
-    )
-    divergences: list[EngineDivergence] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.divergences
-
-
-def execute_engine(
-    program: Program,
-    args: tuple,
-    engine: str,
-    level: int | None,
-    config: VMConfig = FUZZ_CONFIG,
-    rng_seed: int = 0,
-) -> EngineObservation:
-    """Run *program* on one engine with every method forced to *level*."""
-    hook = None if level is None else (lambda name: level)
-    interp = Interpreter(
-        program,
-        config=config,
-        rng_seed=rng_seed,
-        first_invocation_hook=hook,
-        engine=engine,
-    )
-    try:
-        interp.run(args)
-    except (FuelExhaustedError, StackOverflowError) as exc:
-        return EngineObservation(
-            kind="resource",
-            error=type(exc).__name__,
-            output=tuple(interp.output),
-            heap=_heap_summary(interp),
-        )
-    except ExecutionError as exc:
-        return EngineObservation(
-            kind="error",
+            kind="resource" if limit else "error",
             error=type(exc).__name__,
             output=tuple(interp.output),
             heap=_heap_summary(interp),
         )
     profile = interp.profile
-    return EngineObservation(
+    return Outcome(
         kind="ok",
         value=repr(interp.result),
         output=tuple(interp.output),
@@ -361,54 +265,50 @@ def execute_engine(
     )
 
 
-#: Fields compared per outcome kind. ``ok`` compares everything.
-_ENGINE_FAULT_FIELDS = ("kind", "error", "output", "heap")
-
-
-def compare_engines(
+def run_differential(
     program: Program,
     args: tuple,
-    levels: tuple[int | None, ...] = ENGINE_LEVELS,
+    variants: tuple[Variant, ...] | None = None,
     config: VMConfig = FUZZ_CONFIG,
     rng_seed: int = 0,
-    engines: tuple[str, ...] = ENGINE_SET,
-) -> EngineReport:
-    """Run every engine in *engines* side by side at every level.
+) -> DifferentialReport:
+    """Run *program* through the matrix and judge every variant.
 
-    ``engines[0]`` is the oracle (normally the reference loop); each of
-    the others is diffed against it field by field, appending one
-    :class:`EngineDivergence` per mismatch — the acceptance oracle for
-    the fast and compiled tiers (zero divergences over the corpus and
-    the fuzz stream).
+    *variants* (default: the full matrix) are the cells judged. The
+    ``base`` reference and the reference run of every config they name
+    always execute, since they are the oracles; minimization narrows
+    *variants* to the cells that diverged.
     """
-    report = EngineReport()
-    oracle_engine = engines[0]
-    for level in levels:
-        ref = execute_engine(
-            program, args, oracle_engine, level, config, rng_seed
-        )
-        observed = {oracle_engine: ref}
-        report.observations[level] = observed
-        for engine in engines[1:]:
-            obs = execute_engine(program, args, engine, level, config, rng_seed)
-            observed[engine] = obs
-            if ref.kind == "ok" and obs.kind == "ok":
-                fields = [f.name for f in ref.__dataclass_fields__.values()]
-            else:
-                fields = list(_ENGINE_FAULT_FIELDS)
-            for name in fields:
-                a = getattr(ref, name)
-                b = getattr(obs, name)
-                if a != b:
-                    report.divergences.append(
-                        EngineDivergence(
-                            level=level,
-                            field=name,
-                            reference=repr(a),
-                            observed=repr(b),
-                            engine=engine,
-                        )
-                    )
+    if variants is None:
+        variants = default_variants()
+    base = execute_variant(program, args, REFERENCE, config, rng_seed)
+    report = DifferentialReport(
+        reference=base, skipped=base.kind == "resource"
+    )
+    oracles = {REFERENCE.config: base}
+    for variant in variants:
+        oracle = oracles.get(variant.config)
+        if oracle is None:
+            oracle = oracles[variant.config] = execute_variant(
+                program, args, replace(variant, engine="reference"),
+                config, rng_seed,
+            )
+        if variant.engine == "reference":
+            expected, observed = base, oracle
+            checked = () if report.skipped else _CONFIG_FIELDS
+        else:
+            expected = oracle
+            observed = execute_variant(program, args, variant, config, rng_seed)
+            both_ok = expected.kind == observed.kind == "ok"
+            checked = _ENGINE_FIELDS if both_ok else _FAULT_FIELDS
+        report.outcomes[variant.name] = observed
+        for name in checked:
+            a = getattr(expected, name)
+            b = getattr(observed, name)
+            if a != b:
+                report.divergences.append(
+                    Divergence(variant, name, repr(a), repr(b))
+                )
     return report
 
 
@@ -422,10 +322,8 @@ def module_diverges(
     module: ast.Module,
     args: tuple,
     variants: tuple[Variant, ...] | None = None,
-    config: VMConfig = FUZZ_CONFIG,
-    rng_seed: int = 0,
 ) -> bool:
-    """True when *module* compiles and shows at least one divergence.
+    """True when *module* compiles and one of *variants* diverges.
 
     Invalid candidates (the minimizer produces plenty) count as
     non-diverging rather than erroring out.
@@ -434,22 +332,4 @@ def module_diverges(
         program = compile_module(module)
     except (LangError, VerificationError):
         return False
-    report = run_differential(program, args, variants, config, rng_seed)
-    return bool(report.divergences)
-
-
-def module_engine_diverges(
-    module: ast.Module,
-    args: tuple,
-    config: VMConfig = FUZZ_CONFIG,
-    rng_seed: int = 0,
-    engines: tuple[str, ...] = ENGINE_SET,
-) -> bool:
-    """Minimization predicate for engine-equivalence findings."""
-    try:
-        program = compile_module(module)
-    except (LangError, VerificationError):
-        return False
-    return not compare_engines(
-        program, args, config=config, rng_seed=rng_seed, engines=engines
-    ).ok
+    return bool(run_differential(program, args, variants).divergences)

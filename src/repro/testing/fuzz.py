@@ -5,9 +5,9 @@ seed (iteration *i* is exactly ``generate(seed, i)``), sliced into
 fixed-size chunks and fanned out through the experiment engine's
 :func:`~repro.experiments.parallel.map_parallel` — the same process-pool
 (with inline fallback) that powers parallel sweeps. Workers only report
-*which* iterations diverged; the parent regenerates those programs,
-delta-debugs them down to minimal reproducers, and (optionally) writes
-them to the regression corpus.
+*which* iterations diverged and the labels of what diverged; the parent
+regenerates those programs, delta-debugs them down to minimal
+reproducers, and (optionally) writes them to the regression corpus.
 
 A finding is reproducible from ``(seed, index)`` alone, so a report
 line is enough to replay any failure locally.
@@ -20,15 +20,11 @@ from dataclasses import dataclass, field
 
 from ..experiments.parallel import map_parallel
 from ..lang.compiler import compile_source
-from ..vm.config import VMConfig
 from .corpus import save_reproducer
 from .differential import (
-    FUZZ_CONFIG,
-    Variant,
-    compare_engines,
     compile_module,
+    default_variants,
     module_diverges,
-    module_engine_diverges,
     run_differential,
 )
 from .generator import generate
@@ -89,10 +85,10 @@ def _fuzz_chunk(spec: tuple) -> tuple[int, int, list[tuple[int, tuple[str, ...]]
     """Worker: check one iteration range, report diverging indices.
 
     Picklable top-level function; the payload stays tiny (counts plus
-    ``(index, variant-names)`` pairs) so chunk results are cheap to ship
-    back from pool workers.
+    ``(index, labels)`` pairs) so chunk results are cheap to ship back
+    from pool workers.
     """
-    seed, start, stop, deadline, config, engine_check = spec
+    seed, start, stop, deadline = spec
     checked = 0
     skipped = 0
     hits: list[tuple[int, tuple[str, ...]]] = []
@@ -101,28 +97,12 @@ def _fuzz_chunk(spec: tuple) -> tuple[int, int, list[tuple[int, tuple[str, ...]]
             break
         case = generate(seed, index)
         program = compile_source(case.source, name=f"fuzz_s{seed}_i{index}")
-        if engine_check:
-            # Engine mode: reference loop vs fast vs compiled tiers at
-            # every level, strict comparison (clocks, samples, compile
-            # events). Labels carry which engine pair disagreed.
-            engine_report = compare_engines(program, case.args, config=config)
-            checked += 1
-            if engine_report.divergences:
-                labels = tuple(
-                    dict.fromkeys(
-                        f"{'base' if d.level is None else f'L{d.level}'}"
-                        f":{d.engine}:{d.field}"
-                        for d in engine_report.divergences
-                    )
-                )
-                hits.append((index, labels))
-            continue
-        report = run_differential(program, case.args, config=config)
+        report = run_differential(program, case.args)
         checked += 1
         if report.skipped:
             skipped += 1
         if report.divergences:
-            hits.append((index, tuple(d.variant for d in report.divergences)))
+            hits.append((index, report.labels()))
     return checked, skipped, hits
 
 
@@ -133,27 +113,20 @@ def run_fuzz(
     time_budget: float | None = None,
     jobs: int = 1,
     corpus_dir: str | None = None,
-    minimize_findings: bool = True,
-    variants: tuple[Variant, ...] | None = None,
-    config: VMConfig = FUZZ_CONFIG,
-    engine_check: bool = False,
 ) -> FuzzReport:
     """Run a fuzz campaign; returns a report whose ``ok`` means no findings.
 
+    Every program goes through the full differential matrix
+    (:func:`~repro.testing.differential.run_differential`).
     ``time_budget`` (seconds) caps wall-clock: chunks past the deadline
-    stop checking, so ``checked`` may fall short of ``iterations``.
-    ``variants`` narrows the matrix for the minimization predicate and
-    the stored sidecar; workers always check the full default matrix.
-    ``engine_check`` switches the oracle from the pass matrix to the
-    three-way reference-vs-fast-vs-compiled engine comparison (strict:
-    clocks, samples, and compile events must match bit-for-bit at every
-    opt level; finding labels record which engine pair disagreed).
+    stop checking, so ``checked`` may fall short of ``iterations``. A
+    finding shrinks for as long as one of the variants that diverged
+    still diverges, so the reproducer keeps its class.
     """
     clock = time.perf_counter()
     deadline = time.time() + time_budget if time_budget is not None else None
     chunks = [
-        (seed, start, min(start + CHUNK, iterations), deadline, config,
-         engine_check)
+        (seed, start, min(start + CHUNK, iterations), deadline)
         for start in range(0, iterations, CHUNK)
     ]
     results, parallel = map_parallel(_fuzz_chunk, chunks, max(1, jobs))
@@ -166,17 +139,13 @@ def run_fuzz(
 
     for index, divergent in sorted(hits):
         case = generate(seed, index)
-        module = case.module
-        if minimize_findings:
-            if engine_check:
-                predicate = lambda m: module_engine_diverges(  # noqa: E731
-                    m, case.args, config=config
-                )
-            else:
-                predicate = lambda m: module_diverges(  # noqa: E731
-                    m, case.args, variants=variants, config=config
-                )
-            module = minimize(module, predicate)
+        variants = tuple(
+            v for v in default_variants()
+            if any(v.owns(label) for label in divergent)
+        )
+        module = minimize(
+            case.module, lambda m: module_diverges(m, case.args, variants)
+        )
         source = render_module(module)
         instructions = compile_module(module).total_size()
         reproducer = None

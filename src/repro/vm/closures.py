@@ -29,7 +29,7 @@ Architecture of one compiled run:
   never observable results.
 
 Exactness contract (enforced by ``tests/test_engine_equivalence.py``,
-``tests/test_properties_compiled.py``, and ``repro fuzz --engines``):
+``tests/test_properties_compiled.py``, and ``repro fuzz``):
 results, prints, heap effects, virtual cycles, per-method accounts,
 sample counts, and compile events are bit-identical to the reference
 loop for every run, whichever engine actually executes it.

@@ -4,24 +4,23 @@ The fast engine (:mod:`repro.vm.fastpath`) and the closure-compiled tier
 (:mod:`repro.vm.closures`) both promise *bit-identical* virtual-cycle
 semantics: same results, output, heap effects, final clocks, per-method
 cycle/work accounts, sample counts, and compile-event sequences as the
-reference loop, at every optimization level. These tests hold them to
-that over the regression corpus, seeded fuzz streams, adaptive
+reference loop, at every compilation config. These tests hold them to
+that through the differential matrix over seeded fuzz streams, adaptive
 (listener-attached) runs, and the resource-limit edges where batching —
 per-superinstruction in the fast engine, per-basic-block in the compiled
-tier — could plausibly leak.
+tier — could plausibly leak. The regression corpus replays through the
+same matrix in ``tests/test_corpus_replay.py``.
 """
-
-from pathlib import Path
 
 import pytest
 
 from repro.aos.controller import AdaptiveController
 from repro.lang import compile_source
 from repro.testing import (
-    ENGINE_LEVELS,
-    compare_engines,
+    FUZZ_CONFIG,
+    default_variants,
     generate,
-    load_corpus,
+    run_differential,
 )
 from repro.vm import Interpreter, Op, VMConfig
 from repro.vm.fastpath import (
@@ -36,8 +35,6 @@ from repro.vm.fastpath import (
     ensure_decoded,
 )
 from repro.vm.instructions import Instr
-
-CORPUS_DIR = Path(__file__).parent / "corpus"
 
 #: Seeded fuzz programs checked per CI run. Iteration *i* of seed 1234 is
 #: deterministic, so a failure here replays with
@@ -68,26 +65,21 @@ fn helper(x) {
 """
 
 
-def assert_engines_agree(program, args, config=None, rng_seed=0, levels=ENGINE_LEVELS):
-    kwargs = {"levels": levels, "rng_seed": rng_seed}
-    if config is not None:
-        kwargs["config"] = config
-    report = compare_engines(program, args, **kwargs)
-    assert report.ok, "\n".join(d.describe() for d in report.divergences)
-    return report
+def assert_engines_agree(program, args, config=FUZZ_CONFIG, configs=None):
+    """Every engine at every config in *configs* (default: all) must
+    match the reference loop; the differential matrix judges it."""
+    variants = tuple(
+        v for v in default_variants() if configs is None or v.config in configs
+    )
+    report = run_differential(program, args, variants, config)
+    assert not report.divergences, "\n".join(
+        d.describe() for d in report.divergences
+    )
 
 
 # ---------------------------------------------------------------------------
-# Corpus + fuzz stream
+# Fuzz stream
 # ---------------------------------------------------------------------------
-
-@pytest.mark.parametrize(
-    "entry", load_corpus(CORPUS_DIR), ids=lambda e: e.name
-)
-def test_corpus_programs_identical_across_engines(entry):
-    program = compile_source(entry.source, name=entry.name)
-    assert_engines_agree(program, entry.args)
-
 
 @pytest.mark.parametrize("index", range(FUZZ_ITERATIONS))
 def test_fuzz_programs_identical_across_engines(index):
@@ -164,9 +156,10 @@ def test_stack_overflow_identical():
         fn down(k) { return down(k + 1); }
         """
     )
-    config = VMConfig(max_call_depth=40)
-    # Level 2 eliminates the tail call (no overflow) — levels differ from
-    # each other, but the two engines must agree at every level.
+    # Tail-call elimination (L2, pass:tail_call) turns the overflow into
+    # a loop that runs to fuel, so the fuel is kept small: configs fault
+    # differently, but the engines must agree at every config.
+    config = VMConfig(max_call_depth=40, max_instructions=200_000)
     assert_engines_agree(program, (0,), config=config)
 
 
@@ -270,7 +263,7 @@ def test_resolve_compiled_refuses_listeners_and_extreme_depth():
     assert_engines_agree(
         program, (50,),
         config=VMConfig(max_call_depth=MAX_COMPILED_DEPTH + 1),
-        levels=(None,),
+        configs=("base",),
     )
 
 
@@ -285,7 +278,7 @@ def test_compiled_stack_overflow_edges(depth):
         """
     )
     config = VMConfig(max_call_depth=depth)
-    assert_engines_agree(program, (0,), config=config, levels=(None, 2))
+    assert_engines_agree(program, (0,), config=config, configs=("base", "L2"))
 
 
 def test_compiled_runtime_fault_edges():
@@ -334,7 +327,7 @@ def test_fresh_fuzz_programs_identical_across_engines(index):
     # engines: results, output, heap, and cycles must match bit-for-bit.
     case = generate(COMPILED_FUZZ_SEED, index)
     program = compile_source(case.source, name=f"ceq_{index}")
-    assert_engines_agree(program, case.args, levels=(None, 2))
+    assert_engines_agree(program, case.args, configs=("base", "L2"))
 
 
 def test_ensure_closure_memoizes_and_pickles_clean():

@@ -1,9 +1,12 @@
 """Tests for the differential executor and the end-to-end fuzz loop.
 
-The acceptance test at the bottom breaks an optimization pass on purpose
-and requires the harness to catch the miscompile and shrink it to a
-minimal reproducer — the whole point of the subsystem.
+The acceptance tests at the bottom break an optimization pass and an
+engine's cost accounting on purpose and require the harness to catch
+each bug and shrink it to a minimal reproducer — the whole point of the
+subsystem.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -22,14 +25,25 @@ from repro.vm.opt.passes.constant_folding import _FOLDERS
 from repro.vm.program import Op
 
 
+CORPUS_DIR = Path(__file__).parent / "corpus"
+
+
 class TestVariantMatrix:
     def test_default_variants_cover_levels_and_passes(self):
-        names = [v.name for v in default_variants()]
-        assert names[:3] == ["L0", "L1", "L2"]
-        assert "pass:constant_folding" in names
-        assert "pass:tail_call" in names
-        assert "pass:dce" in names
-        assert len(names) == 9
+        variants = default_variants()
+        configs = list(dict.fromkeys(v.config for v in variants))
+        assert configs[:4] == ["base", "L0", "L1", "L2"]
+        assert "pass:constant_folding" in configs
+        assert "pass:tail_call" in configs
+        assert "pass:dce" in configs
+        assert len(configs) == 10
+        # Every config on every engine.
+        assert {(v.config, v.engine) for v in variants} == {
+            (config, engine)
+            for config in configs
+            for engine in ("reference", "fast", "compiled")
+        }
+        assert len(variants) == 30
 
     def test_outcome_tracks_output_and_heap(self):
         source = """
@@ -45,8 +59,13 @@ class TestVariantMatrix:
         assert reference.kind == "ok"
         assert len(reference.output) == 2
         assert reference.heap[1] >= 1  # allocation_count
-        for variant in default_variants():
-            assert execute_variant(program, (), variant) == reference
+        report = run_differential(program, ())
+        assert not report.divergences
+        assert len(report.outcomes) == len(default_variants())
+        for observed in report.outcomes.values():
+            assert observed.value == reference.value
+            assert observed.output == reference.output
+            assert observed.heap == reference.heap
 
     def test_faulting_program_faults_identically_everywhere(self):
         # Constant folding deliberately leaves div-by-zero unfolded so
@@ -116,3 +135,29 @@ class TestFuzzDriver:
     def test_time_budget_stops_early(self):
         report = run_fuzz(seed=0, iterations=500, jobs=1, time_budget=0.0)
         assert report.checked < 500
+
+
+class TestBrokenEngineAcceptance:
+    """A cost-accounting bug in one engine is caught with no flag: by the
+    corpus replay and by a plain fuzz campaign, labelled with the config,
+    the engine and the diverging field."""
+
+    @pytest.fixture
+    def broken_call_cost(self, monkeypatch):
+        import repro.vm.closures as closures
+
+        monkeypatch.setattr(closures, "_W_CALL", closures._W_CALL + 1)
+
+    def test_corpus_replay_catches_engine_bug(self, broken_call_cost):
+        labels = [
+            label
+            for _, report in replay_corpus(CORPUS_DIR)
+            for label in report.labels()
+        ]
+        assert any(":compiled:" in label for label in labels), labels
+
+    def test_fuzz_catches_engine_bug(self, broken_call_cost):
+        report = run_fuzz(seed=0, iterations=5, jobs=1)
+        assert not report.ok
+        for finding in report.findings:
+            assert all(":compiled:" in v for v in finding.divergent)

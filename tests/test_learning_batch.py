@@ -2,9 +2,9 @@
 
 The serving layer's whole batching story rests on one invariant — a
 drained queue answered through :meth:`FlatForest.predict_batch` (the
-compiled batch program) or :meth:`FlatTree.predict_values_batch` (the
-level-synchronous fallback kernel) must produce byte-for-byte the
-responses the per-row path would have produced. Hypothesis drives random
+compiled batch program, with trees too deep to inline answered per row)
+must produce byte-for-byte the responses the per-row path would have
+produced. Hypothesis drives random
 forests (mixed numeric/categorical features, correlated labels) against
 random query matrices with missing features; every example asserts exact
 ``==`` on the full result structure, not approximate agreement.
@@ -21,7 +21,6 @@ from repro.learning import (
     TreeParams,
     compile_forest,
 )
-from repro.learning.flat import FlatTree
 from repro.xicl import FeatureVector
 
 DEEP = TreeParams(max_depth=64, min_samples_split=2, min_samples_leaf=1)
@@ -82,25 +81,6 @@ def test_predict_batch_bitwise_equals_per_row(row_groups, queries):
     assert batched == per_row
 
 
-@given(_train_rows, _query_rows)
-@settings(max_examples=100, deadline=None)
-def test_level_sync_kernel_equals_predict_values(rows, queries):
-    """The fallback tier independently: the level-synchronous kernel on
-    one tree matches per-row predict_values exactly."""
-    ds = Dataset()
-    for x, c, label in rows:
-        ds.add(vec([("x", x), ("c", c)]), label)
-    fitted = ClassificationTree(DEEP).fit(ds)
-    tree = FlatTree(fitted.root, fitted.fitted_columns)
-    values = [
-        tuple({"x": x, "c": c}.get(col) for col in tree.columns)
-        for x, c in queries
-    ]
-    assert tree.predict_values_batch(values) == [
-        tree.predict_values(v) for v in values
-    ]
-
-
 @given(st.lists(_train_rows, min_size=1, max_size=3))
 @settings(max_examples=50, deadline=None)
 def test_empty_batch(row_groups):
@@ -134,11 +114,11 @@ def test_pickle_roundtrip_preserves_batch_results(row_groups, queries):
     assert clone.predict_batch(vectors) == before
 
 
-def test_non_inlinable_trees_fall_back_to_level_sync_kernel(monkeypatch):
-    """Trees deeper than the inline bound are answered by the fallback
-    kernel inside predict_batch — and still match per-row exactly. The
-    bound is monkeypatched to 0 so every (non-stump) tree takes the
-    skip path deterministically."""
+def test_non_inlinable_trees_fall_back_to_per_row_predict(monkeypatch):
+    """Trees deeper than the inline bound are answered per row inside
+    predict_batch — and still match predict_all exactly. The bound is
+    monkeypatched to 0 so every (non-stump) tree takes the skip path
+    deterministically."""
     import repro.learning.flat as flat_mod
 
     rng = Random(5)

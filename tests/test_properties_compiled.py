@@ -17,7 +17,7 @@ the emitter supports:
 from hypothesis import given, settings, strategies as st
 
 from repro.lang import compile_source
-from repro.testing import compare_engines, generate
+from repro.testing import FUZZ_CONFIG, Variant, generate, run_differential
 from repro.vm import DEFAULT_CONFIG, Interpreter, JITCompiler, VMConfig
 from repro.vm.closure_emit import UnsupportedShape, emit_closure_source
 from repro.vm.closures import (
@@ -34,18 +34,23 @@ from repro.vm.program import Method, Program
 # Fallback identity
 # ---------------------------------------------------------------------------
 
+#: The compiled engine with nothing pinned, judged against the reference.
+BASE_COMPILED = (Variant("base", engine="compiled"),)
+
+
+def assert_compiled_agrees(program, args, config=FUZZ_CONFIG):
+    report = run_differential(program, args, BASE_COMPILED, config)
+    assert not report.divergences, "\n".join(
+        d.describe() for d in report.divergences
+    )
+
+
 @settings(max_examples=30, deadline=None)
 @given(index=st.integers(min_value=0, max_value=2_000))
 def test_compiled_engine_identical_on_generated_programs(index):
     case = generate(99, index)
     program = compile_source(case.source, name=f"prop_{index}")
-    report = compare_engines(
-        program,
-        case.args,
-        levels=(None,),
-        engines=("reference", "compiled"),
-    )
-    assert report.ok, "\n".join(d.describe() for d in report.divergences)
+    assert_compiled_agrees(program, case.args)
 
 
 @settings(max_examples=15, deadline=None)
@@ -71,14 +76,7 @@ def test_compiled_engine_identical_under_tight_limits(fuel, depth):
         """
     )
     config = VMConfig(max_instructions=fuel, max_call_depth=depth)
-    report = compare_engines(
-        program,
-        (30,),
-        levels=(None,),
-        config=config,
-        engines=("reference", "compiled"),
-    )
-    assert report.ok, "\n".join(d.describe() for d in report.divergences)
+    assert_compiled_agrees(program, (30,), config)
 
 
 def _method_with(code, num_locals=2, name="m"):
@@ -115,10 +113,7 @@ def test_unsupported_shape_routes_to_fallback_identically():
     interp = Interpreter(program, engine="compiled")
     assert resolve_compiled(interp, "main") is None
     # ...and the run still matches the reference bit-for-bit.
-    report = compare_engines(
-        program, (0,), levels=(None,), engines=("reference", "compiled")
-    )
-    assert report.ok, "\n".join(d.describe() for d in report.divergences)
+    assert_compiled_agrees(program, (0,))
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ The contracts under test (docs/serving.md):
 """
 
 import asyncio
+import dataclasses
 import io
 import json
 
@@ -252,6 +253,50 @@ class TestOnePredictPath:
         assert batched == [tenant.predict(cmd) for cmd in hop]
         assert tenant.predicts_total == 2 * len(hop)
         assert tenant.predict_cache_hits == 2
+
+
+class TestBoundedStats:
+    def test_server_stats_do_not_grow_with_requests(self, toy_app):
+        """A server runs for as long as it is up, so its stats keep
+        counters, never per-request history: no field of
+        ``server.stats`` grows with the requests it serves."""
+        registry = ModelRegistry(None)
+        tenant = Tenant(toy_app, registry=registry, refit_interval=None)
+        cmdlines = ("-m 1 -n 50", "-m 2 -n 50")
+
+        def sizes(stats):
+            values = {
+                f.name: getattr(stats, f.name)
+                for f in dataclasses.fields(stats)
+            }
+            return {
+                name: len(value)
+                for name, value in values.items()
+                if hasattr(value, "__len__")
+            }
+
+        async def serve(server, count):
+            for i in range(count):
+                response = await server.submit({
+                    "op": "predict" if i % 5 == 4 else "run",
+                    "app": "toy",
+                    "cmdline": cmdlines[i % 2],
+                })
+                assert response["status"] == 200, response
+
+        async def scenario():
+            server = FleetServer([tenant], registry)
+            await server.start()
+            await serve(server, 20)
+            before = sizes(server.stats)
+            await serve(server, 280)
+            after = sizes(server.stats)
+            await server.stop(persist=False)
+            return server, before, after
+
+        server, before, after = asyncio.run(scenario())
+        assert server.stats.served == 300
+        assert after == before
 
 
 class TestTcpTransport:
