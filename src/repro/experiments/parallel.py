@@ -196,10 +196,12 @@ def plan_cells(
 # Worker side
 # ---------------------------------------------------------------------------
 
-#: Per-process artifact caches, one per cache directory. Worker processes
-#: are reused across cells, so the in-memory layer of each cache warms up
-#: over the lifetime of the pool; the disk layer shares artifacts between
-#: workers (and across whole sweep invocations).
+#: This process's artifact cache, keyed by its directory. Worker processes
+#: are reused across cells, so the cache's in-memory layer warms up over
+#: the lifetime of the pool; the disk layer shares artifacts between
+#: workers (and across whole sweep invocations). Only the current
+#: directory's cache is kept: the in-memory layer has no size limit, and
+#: its artifacts carry their compiled closures.
 _ARTIFACT_CACHES: dict[str, JITArtifactCache] = {}
 
 
@@ -208,6 +210,7 @@ def _artifact_cache_for(cache_dir: str | None) -> JITArtifactCache | None:
         return None
     cache = _ARTIFACT_CACHES.get(cache_dir)
     if cache is None:
+        _ARTIFACT_CACHES.clear()
         cache = JITArtifactCache(cache_dir)
         _ARTIFACT_CACHES[cache_dir] = cache
     return cache

@@ -5,8 +5,14 @@ forking). A *variant* is a (compilation config, engine) pair, and the
 default matrix crosses every config
 
 - ``base`` — nothing pinned: every method stays at the baseline level,
-- ``L0``/``L1``/``L2`` — every method forced to that level, and
-- ``pass:<name>`` — the level-2 pipeline restricted to one pass,
+- ``L0``/``L1``/``L2`` — every method forced to that level,
+- ``pass:<name>`` — the level-2 pipeline restricted to one pass, and
+- ``adaptive``/``plan`` — the runs the paper's experiments execute: a
+  live :class:`~repro.aos.controller.AdaptiveController`, or a
+  :class:`~repro.aos.controller.PairPlanController` replaying a plan
+  seeded from the program, both sampling every
+  :data:`ADAPTIVE_INTERVAL` cycles so that ticks, and the recompiles
+  they apply, land mid-block, mid-loop and inside ``burn`` calls,
 
 with every engine: ``reference`` (the executable specification),
 ``fast`` and ``compiled``. One two-part rule judges the matrix:
@@ -32,7 +38,10 @@ with every engine: ``reference`` (the executable specification),
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
+from random import Random
 
+from ..aos.controller import AdaptiveController, PairPlanController
+from ..aos.strategy import PairStrategy, RecompilePair
 from ..lang import ast
 from ..lang.compiler import compile_source
 from ..lang.errors import LangError
@@ -44,6 +53,7 @@ from ..vm.errors import (
     VerificationError,
 )
 from ..vm.interpreter import Interpreter
+from ..vm.opt.artifact_cache import program_digest
 from ..vm.opt.jit import JITCompiler
 from ..vm.opt.passes import (
     constant_folding,
@@ -71,6 +81,11 @@ PASS_REGISTRY: tuple[tuple[str, object], ...] = (
 #: runaway case fails fast instead of burning the default 200M budget).
 FUZZ_CONFIG = VMConfig(max_instructions=2_000_000)
 
+#: Sample interval of the adaptive configs, in virtual cycles: a small
+#: prime, so ticks fall every few dozen instructions and at no fixed
+#: offset within a loop body.
+ADAPTIVE_INTERVAL = 53
+
 
 @dataclass(frozen=True)
 class Variant:
@@ -81,13 +96,15 @@ class Variant:
     ``level`` on first invocation; ``tier_passes`` overrides the pass
     pipelines (single-pass configs). ``engine`` selects the dispatch
     engine; a config's ``reference`` run is the oracle for its other
-    engines.
+    engines. ``controller`` attaches a sample listener that recompiles
+    while the program runs: ``adaptive`` or ``plan``.
     """
 
     config: str
     level: int | None = None
     tier_passes: dict[int, tuple] | None = None
     engine: str = "reference"
+    controller: str | None = None
 
     @property
     def name(self) -> str:
@@ -111,6 +128,10 @@ def default_variants() -> tuple[Variant, ...]:
     configs += [Variant(f"L{level}", level) for level in (0, 1, 2)]
     for name, fn in PASS_REGISTRY:
         configs.append(Variant(f"pass:{name}", 2, {2: (fn,)}))
+    configs += [
+        Variant("adaptive", controller="adaptive"),
+        Variant("plan", controller="plan"),
+    ]
     return tuple(
         replace(config, engine=engine)
         for config in configs
@@ -213,6 +234,23 @@ def _heap_summary(interp: Interpreter) -> tuple:
     )
 
 
+def seeded_plan(program: Program, rng_seed: int = 0) -> PairStrategy:
+    """A Rep-shaped plan for the ``plan`` config: up to two recompile
+    pairs per method, drawn from a seed of *rng_seed* and the program's
+    code, so a program always gets the same plan."""
+    rng = Random(f"{rng_seed}:{program_digest(program)}")
+    plans = {}
+    for name in sorted(program.method_names):
+        n = rng.randint(0, 2)
+        if n:
+            thresholds = sorted(rng.sample(range(1, 9), n))
+            levels = sorted(rng.sample((0, 1, 2), n))
+            plans[name] = tuple(
+                RecompilePair(k, level) for k, level in zip(thresholds, levels)
+            )
+    return PairStrategy(plans)
+
+
 def execute_variant(
     program: Program,
     args: tuple,
@@ -221,6 +259,8 @@ def execute_variant(
     rng_seed: int = 0,
 ) -> Outcome:
     """Run *program* as one variant of the matrix."""
+    if variant.controller is not None:
+        config = replace(config, sample_interval=ADAPTIVE_INTERVAL)
     jit = JITCompiler(program, config, tier_passes=variant.tier_passes)
     level = variant.level
     hook = None if level is None else (lambda name: level)
@@ -232,6 +272,10 @@ def execute_variant(
         first_invocation_hook=hook,
         engine=variant.engine,
     )
+    if variant.controller == "adaptive":
+        AdaptiveController(interp)
+    elif variant.controller == "plan":
+        PairPlanController(interp, seeded_plan(program, rng_seed))
     try:
         interp.run(args)
     except ExecutionError as exc:

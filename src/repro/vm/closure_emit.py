@@ -13,42 +13,57 @@ single Python function that executes the method natively:
 - back-edges become ``while True:`` loops with ``continue``/``break``;
 - virtual-clock accounting is batched per basic block into the exact
   left-associative addition chains the reference loop performs
-  instruction by instruction (``clock = clock + c0 + c1 + ...``), with
-  per-instruction costs embedded as ``repr``-round-tripped float
-  literals — bit-identical to ``cost = work * speed`` at runtime.
+  instruction by instruction (``clock = clock + sp + _k2 + ...``).
 
-Exactness rules the emitter obeys (the same arguments as
-:mod:`repro.vm.fastpath`, taken further):
+The speed factor is not baked into the source. It lives in the closure
+local ``sp``, and each per-instruction cost ``work * speed`` lives in a
+local derived from it (``sp`` itself for unit work, ``_k<work>``
+otherwise), so a cost is the same float product the reference forms. A
+recompile applied while the method is live (OSR-lite: the frame keeps
+its code and runs on at the new tier's speed) re-reads them.
+
+Exactness rules the emitter obeys:
 
 1. **Accounting chains.** ``clock += a; clock += b`` is the same float
    computation as ``clock = clock + a + b`` (left-associative, same
    operand order). Chains never re-associate and never pre-fold partial
-   sums — CPython's peephole only folds *adjacent literal pairs*, which
-   ``clock + 1.0 + 2.0`` does not contain.
-2. **Sampler ticks.** With no listeners attached (a run-level capability
-   requirement), ``Sampler.advance`` batches arbitrarily many crossed
-   ticks under one method name. Ticks therefore only need a check at
-   *method transitions* — before a CALL dispatch (caller name), at
-   callee entry after the CALL cost (callee name, done by the runtime
-   dispatcher), after a call returns (caller name), and before the RET
-   cost (callee name) — everywhere else attribution is unchanged by
-   batching.
+   sums — CPython folds only constant subexpressions, and a chain that
+   starts from a variable (``mwork + 1 + 2``) contains none.
+2. **Sampler ticks.** A tick may run listeners, and the recompiles they
+   request are applied at that instruction, changing the speed of every
+   later one. Each block therefore forms its batched clock in ``_c`` and
+   compares it with the next tick, held in ``_nt``. Costs are
+   non-negative, so a block that stays below the tick crosses none and
+   commits its chains as they are. A block that reaches it replays its
+   accounting one instruction at a time (``_replay``), which samples,
+   drains recompiles and folds each ``INTRIN``'s GC cycles
+   (``gc_cycles / speed``) at the same instruction and speed as the
+   reference loop; ``sp``, the cost locals and ``_nt`` are re-read after.
+   The runtime handles the ticks at method transitions: at callee entry
+   after the CALL cost (``_invoke``), and after a call returns, under the
+   caller's name (``_tick``). The speed is re-read after every call too,
+   since the callee may have recompiled this method.
 3. **Effect order.** Semantic operations are emitted strictly in
    bytecode order; only pure accounting is deferred. A raising
    instruction therefore observes exactly the prints/heap effects the
    reference produced, which is all the engine-equivalence oracle
    compares on fault paths.
-4. **Fuel.** A soft-limit guard (``executed >= vm.fuel - margin`` with
-   ``margin = len(code) + 2``) at function entry, every back-edge, and
-   after every call return proves no instruction with ordinal > fuel
-   ever executes compiled; budget-critical runs raise the internal
-   bailout and replay on the fast engine, which is per-instruction
-   exact.
+4. **Fuel and deoptimization.** A soft-limit guard
+   (``executed >= vm.fuel - margin`` with ``margin = len(code) + 2``) at
+   function entry, every back-edge, and after every call return proves
+   no instruction with ordinal > fuel ever executes compiled. A guard
+   that fires raises the runtime's deoptimization exception with the
+   frame's exact state (pc, locals, stack temps); each call site it
+   passes adds its caller's frame, and the run continues on the
+   reference loop, which decides the last instructions one at a time.
 
 Shapes the emitter cannot structure (irreducible control flow,
-cross-loop jumps, non-innermost breaks — none of which the MiniLang
-compiler or the optimization passes currently produce) raise
-:class:`UnsupportedShape`; the runtime falls back to the fast engine.
+cross-loop jumps, non-innermost breaks, a branch arm that jumps past its
+join) raise :class:`UnsupportedShape`. The MiniLang compiler and the
+passes do produce them: 303 of the 759 baseline artifacts of
+``generate(7, 0..299)`` and 3 of the 344 Table I artifacts are refused.
+A run whose entry artifact is refused runs on the fast engine; a callee
+without a closure deoptimizes the run at its CALL.
 """
 
 from __future__ import annotations
@@ -58,10 +73,6 @@ import re
 from .errors import VerificationError
 from .instructions import BASE_COST, Op
 from .verifier import stack_depths
-
-#: Bump when the shape of generated source changes; part of the source
-#: cache key so stale generated code can never be resurrected.
-CLOSURE_SCHEMA_VERSION = 1
 
 _JUMPS = (Op.JMP, Op.JZ, Op.JNZ)
 _CMP_EXPR = {
@@ -90,21 +101,33 @@ def intrinsic_names(code) -> tuple[str, ...]:
 
 
 class _Emitter:
-    def __init__(self, name, code, num_params, num_locals, speed):
+    def __init__(self, name, code, num_params, num_locals):
         self.name = name
         self.code = code
         self.num_params = num_params
         self.num_locals = num_locals
-        self.speed = speed
         self.lines: list[str] = []
         self.indent = 2
-        # Pending per-block accounting: cost terms (strings), work terms,
-        # and the instruction count since the last flush.
+        # Pending per-block accounting since the last flush: cost terms
+        # and work terms (expressions), each instruction's entry for the
+        # one-at-a-time replay, and the instruction count.
         self.costs: list[str] = []
         self.works: list[str] = []
+        self.replays: list[str] = []
         self.count = 0
-        self.scratch = 0
+        self.temps = 0
         self.loop_stack: list[tuple[int, int]] = []  # (header, exit)
+        # Every work value with a cost local (``_k<work>``): CALL costs
+        # are charged by the runtime, INTRIN work is only known at run
+        # time, and unit work costs ``sp`` itself.
+        self.weights = sorted(
+            {
+                BASE_COST[ins.op]
+                for ins in code
+                if ins.op not in (Op.CALL, Op.INTRIN)
+            }
+            - {1}
+        )
         try:
             self.depths = stack_depths(code, name)
         except VerificationError as exc:
@@ -147,39 +170,73 @@ class _Emitter:
     def line(self, text: str):
         self.lines.append(" " * (4 * self.indent) + text)
 
+    @staticmethod
+    def cost(work: int) -> str:
+        """The local holding ``work * speed``."""
+        return "sp" if work == 1 else f"_k{work}"
+
     def add_cost(self, work: int):
-        self.costs.append(repr(work * self.speed))
+        self.costs.append(self.cost(work))
         self.works.append(repr(work))
+        self.replays.append(repr(work))
         self.count += 1
 
+    def rate_lines(self) -> list[str]:
+        """Read the method's speed and every cost derived from it."""
+        lines = ["sp = _st.compiled.speed_factor"]
+        lines.extend(f"_k{w} = {w} * sp" for w in self.weights)
+        return lines
+
     def flush(self):
+        """Commit the pending block's accounting (rule 2)."""
         if not self.count:
             return
         chain = " + ".join(self.costs)
-        self.line(f"clock = clock + {chain}")
-        self.line(f"mcycles = mcycles + {chain}")
-        self.line(f"mwork = mwork + {' + '.join(self.works)}")
-        self.line(f"executed = executed + {self.count}")
+        self.line(f"_c = clock + {chain}")
+        self.line("if _c < _nt:")
+        self.line("    clock = _c")
+        self.line(f"    mcycles = mcycles + {chain}")
+        self.line(f"    mwork = mwork + {' + '.join(self.works)}")
+        self.line(f"    executed = executed + {self.count}")
+        self.line("else:")
+        self.line(
+            "    clock, mcycles, mwork, executed = _replay("
+            f"vm, _st, {self.name!r}, ({', '.join(self.replays)},), "
+            "clock, mcycles, mwork, executed)"
+        )
+        for text in self.rate_lines():
+            self.line("    " + text)
+        self.line("    _nt = _sampler._next_tick")
         self.costs = []
         self.works = []
+        self.replays = []
         self.count = 0
 
-    def tick_check(self):
-        self.line("if clock >= _sampler._next_tick:")
-        self.line(f"    _adv(clock, {self.name!r})")
+    def frame_state(self, pc: int, depth: int) -> str:
+        """``name, code, pc, [locals], [stack temps]`` of this method's
+        frame resuming at *pc*."""
+        locals_ = ", ".join(f"l{i}" for i in range(self.num_locals))
+        stack = ", ".join(f"t{i}" for i in range(depth))
+        return f"{self.name!r}, _CODE, {pc}, [{locals_}], [{stack}]"
 
-    def fuel_guard(self):
+    def fuel_guard(self, resume_pc: int):
+        """Deoptimize at *resume_pc* once the fuel budget is near."""
         self.line("if executed >= _fs:")
-        self.line("    raise _BAIL")
+        self.line(f"    _mc[{self.name!r}] = mcycles")
+        self.line(f"    _mw[{self.name!r}] = mwork")
+        self.line(
+            "    raise _DEOPT(clock, executed, "
+            f"{self.frame_state(resume_pc, self.depths[resume_pc])})"
+        )
 
-    def _next_scratch(self) -> str:
-        self.scratch += 1
-        return f"_w{self.scratch}"
+    def _next_temp(self) -> int:
+        self.temps += 1
+        return self.temps
 
     # -- structured emission ----------------------------------------------
     def emit_function(self) -> str:
         params = ", ".join(f"l{i}" for i in range(self.num_params))
-        header = f"def {closure_name(self.name)}(vm, clock, executed"
+        header = f"def {closure_name(self.name)}(vm, _st, clock, executed"
         if params:
             header += ", " + params
         header += "):"
@@ -188,26 +245,27 @@ class _Emitter:
             "    _mc = vm.mc",
             "    _mw = vm.mw",
             "    _sampler = vm.sampler",
-            "    _adv = vm.adv",
             "    _ctx = vm.ctx",
             f"    _fs = vm.fuel - {len(self.code) + 2}",
-            "    if executed >= _fs:",
-            "        raise _BAIL",
         ]
         uninit = [f"l{i}" for i in range(self.num_params, self.num_locals)]
         if uninit:
             prologue.append("    " + " = ".join(uninit) + " = 0")
         prologue.extend(
             [
+                "    if executed >= _fs:",
+                "        raise _DEOPT(clock, executed, "
+                f"{self.frame_state(0, 0)})",
                 f"    mcycles = _mc.get({self.name!r}, 0.0)",
                 f"    mwork = _mw.get({self.name!r}, 0.0)",
-                "    try:",
             ]
         )
+        prologue.extend("    " + text for text in self.rate_lines())
+        prologue.extend(["    _nt = _sampler._next_tick", "    try:"])
         self.emit_seq(0, len(self.code))
         self.flush()
         epilogue = [
-            "    except (_EE, _BAIL):",
+            "    except (_EE, _DEOPT):",
             "        raise",
             "    except (TypeError, ValueError, IndexError, "
             "ZeroDivisionError, KeyError) as _exc:",
@@ -257,7 +315,7 @@ class _Emitter:
 
     def emit_continue(self):
         self.flush()
-        self.fuel_guard()
+        self.fuel_guard(self.loop_stack[-1][0])
         self.line("continue")
 
     def emit_branch(self, op, target, cond, pc, hi):
@@ -272,7 +330,7 @@ class _Emitter:
             self.flush()
             self.line(f"if {taken}:")
             self.indent += 1
-            self.fuel_guard()
+            self.fuel_guard(header)
             self.line("continue")
             self.indent -= 1
             return pc
@@ -389,8 +447,7 @@ class _Emitter:
 
         if op == Op.RET:
             self.flush()
-            self.tick_check()
-            ret_cost = repr(BASE_COST[Op.RET] * self.speed)
+            ret_cost = self.cost(BASE_COST[Op.RET])
             self.line(f"clock = clock + {ret_cost}")
             self.line(f"_mc[{name!r}] = mcycles + {ret_cost}")
             self.line(f"_mw[{name!r}] = mwork + {BASE_COST[Op.RET]}")
@@ -405,15 +462,26 @@ class _Emitter:
             self.flush()
             self.line(f"_mc[{name!r}] = mcycles")
             self.line(f"_mw[{name!r}] = mwork")
-            self.tick_check()
+            self.line("try:")
             self.line(
-                f"{t(d - argc)}, clock, executed = "
+                f"    {t(d - argc)}, clock, executed = "
                 f"_invoke(vm, {callee!r}, {tup}, clock, executed)"
             )
+            self.line("except _DEOPT as _d:")
+            self.line(
+                "    _d.frames.append(("
+                f"{self.frame_state(pc + 1, d - argc)}))"
+            )
+            self.line("    raise")
             self.line(f"mcycles = _mc[{name!r}]")
             self.line(f"mwork = _mw[{name!r}]")
-            self.tick_check()
-            self.fuel_guard()
+            self.line("if clock >= _sampler._next_tick:")
+            self.line(f"    clock = _tick(vm, clock, {name!r})")
+            self.line("_nt = _sampler._next_tick")
+            self.line("if _st.compiled.speed_factor != sp:")
+            for text in self.rate_lines():
+                self.line("    " + text)
+            self.fuel_guard(pc + 1)
             return pc + 1, False
 
         if op == Op.INTRIN:
@@ -422,16 +490,24 @@ class _Emitter:
             tup = f"({args},)" if argc else "()"
             safe = re.sub(r"[^0-9A-Za-z_]", "_", intr)
             self.line(f"{t(d - argc)} = _in_{safe}(_ctx, {tup})")
-            w = self._next_scratch()
+            # The work before the GC fold (_w), the GC cycles (_g) and the
+            # folded work at this block's speed (_v); a replay refolds
+            # _g at the speed its instruction runs at.
+            n = self._next_temp()
+            w, g, v = f"_w{n}", f"_g{n}", f"_v{n}"
             self.line(f"{w} = {BASE_COST[Op.INTRIN]}")
             self.line("if _ctx.burned:")
             self.line(f"    {w} = {w} + _ctx.burned")
             self.line("    _ctx.burned = 0.0")
-            self.line("if _ctx.gc_cycles:")
-            self.line(f"    {w} = {w} + _ctx.gc_cycles / {self.speed!r}")
+            self.line(f"{g} = _ctx.gc_cycles")
+            self.line(f"if {g}:")
             self.line("    _ctx.gc_cycles = 0.0")
-            self.costs.append(f"{w} * {self.speed!r}")
-            self.works.append(w)
+            self.line(f"    {v} = {w} + {g} / sp")
+            self.line("else:")
+            self.line(f"    {v} = {w}")
+            self.costs.append(f"{v} * sp")
+            self.works.append(v)
+            self.replays.append(f"({w}, {g})")
             self.count += 1
             return pc + 1, False
 
@@ -501,12 +577,11 @@ def emit_closure_source(
     code,
     num_params: int,
     num_locals: int,
-    speed_factor: float,
 ) -> str:
     """Generate the Python source of one method's compiled closure.
 
     Raises :class:`UnsupportedShape` when the control flow cannot be
-    structured; callers fall back to the fast engine.
+    structured.
     """
-    emitter = _Emitter(method_name, code, num_params, num_locals, speed_factor)
+    emitter = _Emitter(method_name, code, num_params, num_locals)
     return emitter.emit_function()

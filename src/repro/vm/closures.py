@@ -1,32 +1,35 @@
-"""Closure-compiled execution tier: runtime, routing, and fallback.
+"""Closure-compiled execution tier: runtime, routing, and deoptimization.
 
 The third (fastest) execution engine. :mod:`repro.vm.closure_emit`
 generates one Python function per :class:`~repro.vm.opt.jit.CompiledCode`
 artifact; this module ``exec``-compiles that source, memoizes the
 resulting closure on the artifact, dispatches cross-method calls, and
-decides — per run and per method — whether the compiled tier may run at
-all or must route to the fast/reference engines.
+hands a run to the reference loop when a closure cannot go on.
 
 Architecture of one compiled run:
 
-- :func:`resolve_compiled` is the run-level capability check. It refuses
-  runs a closure cannot model exactly: attached sample listeners (they
-  can observably act between any two instructions), call-depth limits
-  beyond what the host's recursion stack can mirror, or any method
-  reachable in the static call graph whose baseline artifact the emitter
-  cannot structure.
+- :func:`resolve_compiled` is the run-level capability check. It looks
+  only at what the run starts with: a call-depth limit beyond what the
+  host's recursion stack can mirror, or an entry artifact the emitter
+  cannot structure, routes the run to the fast engine. Sample listeners
+  are welcome: the closures account per basic block, and a block that
+  reaches the next tick replays its accounting one instruction at a time
+  (:func:`_replay`), so every sample, recompile drain and GC fold lands
+  at the same instruction and speed as in the reference loop.
 - :func:`run_compiled` drives the entry closure. Closures call each
   other through :func:`_invoke`, which reproduces the reference CALL
   protocol exactly: depth check, lazy method materialization (charging
   compile cycles), recompile-queue drain, invocation count, CALL cost at
-  the callee's speed, and a sampler check under the callee's name.
-- Anything discovered mid-run that the tier cannot handle exactly —
-  fuel-budget proximity, a method recompiled into an unsupported shape,
-  host recursion exhaustion — raises the internal :class:`_Bailout`.
-  The interpreter then discards the partial run wholesale and *replays*
-  on the fast engine from a fresh state (same seed, same shared JIT),
-  which is per-instruction exact. Bailouts change wall-clock only,
-  never observable results.
+  the callee's speed, and the tick under the callee's name with its
+  recompile drain.
+- When a closure cannot go on exactly — the fuel budget is near (checked
+  at function entry, back-edges and call returns), or a callee has no
+  closure — it raises the internal :class:`_Deopt`. The exception
+  carries the raising frame's pc, locals and stack temps, each call site
+  it crosses adds its caller's frame, and :meth:`Interpreter.run
+  <repro.vm.interpreter.Interpreter.run>` continues the run from that
+  exact state on the reference loop, with the same listeners attached.
+  Deoptimization changes wall-clock only, never observable results.
 
 Exactness contract (enforced by ``tests/test_engine_equivalence.py``,
 ``tests/test_properties_compiled.py``, and ``repro fuzz``):
@@ -34,36 +37,28 @@ results, prints, heap effects, virtual cycles, per-method accounts,
 sample counts, and compile events are bit-identical to the reference
 loop for every run, whichever engine actually executes it.
 
-Generated source is cached in the cross-run
-:class:`~repro.vm.opt.artifact_cache.JITArtifactCache` under a key
-derived from the artifact's own identity (:func:`closure_source_key`),
-so sweep workers and serving tenants share codegen the same way they
-share artifacts. The *closure objects* themselves are never pickled:
-``CompiledCode.__getstate__`` strips every ``_closure*`` memo, so a hot
-model swap or cache invalidation always rebuilds from (cached) source
-and can never resurrect a stale function object.
+Generated source is not cached: emitting it costs about a quarter of the
+``compile()`` that runs either way. The *closure objects* are memoized
+on the artifact and never pickled: ``CompiledCode.__getstate__`` strips
+every ``_closure*`` memo, so a hot model swap or cache invalidation
+always rebuilds from the artifact and can never resurrect a stale
+function object.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 import sys
+import threading
 
 from .closure_emit import (
-    CLOSURE_SCHEMA_VERSION,
     UnsupportedShape,
     closure_name,
     emit_closure_source,
     intrinsic_names,
 )
 from .config import BASELINE_LEVEL
-from .errors import (
-    ExecutionError,
-    StackOverflowError,
-    UnknownIntrinsicError,
-    VMError,
-)
+from .errors import ExecutionError, StackOverflowError, UnknownIntrinsicError
 from .instructions import BASE_COST, Op
 from .intrinsics import lookup as lookup_intrinsic
 
@@ -73,53 +68,57 @@ from .intrinsics import lookup as lookup_intrinsic
 #: territory where CPython can hard-crash.
 MAX_COMPILED_DEPTH = 1500
 
-#: Host recursion frames reserved per VM call, plus slack for the driver.
+#: Host recursion frames reserved per VM call.
+_FRAMES_PER_CALL = 3
+
+#: Host recursion frames reserved for the work a leaf call can start:
+#: listeners, recompiles through the pass pipeline, intrinsics.
 _RECURSION_SLACK = 1000
 
 _W_CALL = BASE_COST[Op.CALL]
 
 
-class _Bailout(Exception):
-    """Internal: abandon the compiled run and replay on the fast engine."""
+class _Deopt(Exception):
+    """Internal: continue the run on the reference loop from an exact state.
+
+    ``frames`` starts with the frame that raised; each call site the
+    exception crosses appends its caller's frame, so the list ends with
+    the entry frame. A frame is ``(method, code, pc, locals, stack)``,
+    where *code* is the instruction tuple the frame runs. ``clock`` and
+    ``executed`` are the run's at that point, with every account, tick
+    and recompile up to date.
+    """
+
+    def __init__(self, clock, executed, method, code, pc, locals_, stack):
+        super().__init__()
+        self.clock = clock
+        self.executed = executed
+        self.frames = [(method, code, pc, locals_, stack)]
 
 
 class ClosureUnsupported(Exception):
     """This artifact cannot be closure-compiled (shape or intrinsics)."""
 
 
-def closure_source_key(compiled, num_params: int) -> str:
-    """Cross-run cache key for an artifact's generated source.
-
-    Self-contained: covers everything the emitter reads (schema version,
-    name, level, speed factor, locals/params, the exact instruction
-    stream), so it can never collide across codegen-relevant changes.
-    """
-    lines = [
-        f"closure-v{CLOSURE_SCHEMA_VERSION}",
-        compiled.method_name,
-        str(compiled.level),
-        repr(compiled.speed_factor),
-        str(compiled.num_locals),
-        str(num_params),
-    ]
-    lines.extend(f"{int(ins.op)} {ins.arg!r}" for ins in compiled.code)
-    return (
-        "closure-"
-        + hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()
-    )
-
-
 def _build_namespace(compiled) -> dict:
-    """Exec globals for one closure: run-independent bindings only."""
+    """Exec globals for one artifact's closure: run-independent bindings.
+
+    Nothing here refers back to the artifact, which holds the closure:
+    without a reference cycle, an artifact and its closure are freed as
+    soon as the last cache drops the artifact.
+    """
     namespace = {
         "_invoke": _invoke,
-        "_BAIL": _Bailout,
+        "_tick": _tick,
+        "_replay": _replay,
+        "_DEOPT": _Deopt,
         "_EE": ExecutionError,
+        "_CODE": compiled.code,
     }
     for name in intrinsic_names(compiled.code):
-        # Unknown intrinsics fall back to the fast engine, which resolves
-        # them lazily at execution time exactly like the reference (the
-        # INTRIN might sit on a never-taken path).
+        # The reference resolves intrinsics lazily at execution time (the
+        # INTRIN might sit on a never-taken path), so an unknown one
+        # leaves the artifact without a closure.
         try:
             fn = lookup_intrinsic(name)
         except UnknownIntrinsicError as exc:
@@ -128,14 +127,14 @@ def _build_namespace(compiled) -> dict:
     return namespace
 
 
-def ensure_closure(compiled, program, artifact_cache=None):
+def ensure_closure(compiled, program):
     """The compiled closure for *compiled*, built at most once.
 
     Both outcomes are memoized on the artifact itself (outside the
     dataclass fields, stripped before pickling): ``_closure`` holds the
     function, ``_closure_unsupported`` the failure reason. Routing is
     therefore a pure, deterministic function of the artifact's code.
-    Raises :class:`ClosureUnsupported` when this method must fall back.
+    Raises :class:`ClosureUnsupported` when the artifact has no closure.
     """
     fn = compiled.__dict__.get("_closure")
     if fn is not None:
@@ -143,33 +142,17 @@ def ensure_closure(compiled, program, artifact_cache=None):
     reason = compiled.__dict__.get("_closure_unsupported")
     if reason is not None:
         raise ClosureUnsupported(reason)
-    num_params = program.method(compiled.method_name).num_params
-    src = None
-    key = None
-    if artifact_cache is not None:
-        key = closure_source_key(compiled, num_params)
-        cached = artifact_cache.get(key)
-        if isinstance(cached, str):
-            src = cached
-    if src is None:
-        try:
-            src = emit_closure_source(
-                compiled.method_name,
-                compiled.code,
-                num_params,
-                compiled.num_locals,
-                compiled.speed_factor,
-            )
-        except UnsupportedShape as exc:
-            object.__setattr__(compiled, "_closure_unsupported", str(exc))
-            raise ClosureUnsupported(str(exc)) from exc
-        if artifact_cache is not None:
-            artifact_cache.put(key, src)
     try:
+        src = emit_closure_source(
+            compiled.method_name,
+            compiled.code,
+            program.method(compiled.method_name).num_params,
+            compiled.num_locals,
+        )
         namespace = _build_namespace(compiled)
-    except ClosureUnsupported as exc:
+    except (UnsupportedShape, ClosureUnsupported) as exc:
         object.__setattr__(compiled, "_closure_unsupported", str(exc))
-        raise
+        raise ClosureUnsupported(str(exc)) from exc
     exec(
         compile(
             src,
@@ -178,9 +161,8 @@ def ensure_closure(compiled, program, artifact_cache=None):
         ),
         namespace,
     )
-    fn = namespace[closure_name(compiled.method_name)]
+    fn = namespace.pop(closure_name(compiled.method_name))
     # Benign race under threads: both sides build identical functions.
-    object.__setattr__(compiled, "_closure_src", src)
     object.__setattr__(compiled, "_closure", fn)
     return fn
 
@@ -194,8 +176,7 @@ class _VMContext:
     """
 
     __slots__ = (
-        "interp", "ctx", "mc", "mw", "sampler", "adv",
-        "depth", "max_depth", "fuel",
+        "interp", "ctx", "mc", "mw", "sampler", "depth", "max_depth", "fuel",
     )
 
     def __init__(self, interp):
@@ -204,10 +185,52 @@ class _VMContext:
         self.mc = interp.profile.method_cycles
         self.mw = interp.profile.method_work
         self.sampler = interp.sampler
-        self.adv = interp.sampler.advance
         self.depth = 1
         self.max_depth = interp.config.max_call_depth
         self.fuel = interp.config.max_instructions
+
+
+def _tick(vm, clock, name):
+    """The reference's tick handler: deliver the samples *clock* crossed
+    to *name*, then apply the recompiles they requested. Returns the
+    clock after any compile cycles."""
+    vm.sampler.advance(clock, name)
+    interp = vm.interp
+    if interp._recompile_queue:
+        interp.clock = clock
+        interp._apply_recompiles()
+        clock = interp.clock
+    return clock
+
+
+def _replay(vm, state, name, works, clock, mcycles, mwork, executed):
+    """A block's accounting one instruction at a time.
+
+    The slow path of a block whose batched clock reaches the next tick.
+    *works* holds each instruction's work; an ``INTRIN``'s is the pair
+    (work with any burn, GC cycles), because the reference folds the GC
+    cycles in at the speed of that instruction, which an earlier tick in
+    the block may have changed. Returns the updated
+    ``(clock, mcycles, mwork, executed)``.
+    """
+    speed = state.compiled.speed_factor
+    sampler = vm.sampler
+    for work in works:
+        if work.__class__ is tuple:
+            work, gc = work
+            if gc:
+                work = work + gc / speed
+        cost = work * speed
+        clock = clock + cost
+        mcycles = mcycles + cost
+        mwork = mwork + work
+        executed += 1
+        if clock >= sampler._next_tick:
+            vm.mc[name] = mcycles
+            vm.mw[name] = mwork
+            clock = _tick(vm, clock, name)
+            speed = state.compiled.speed_factor
+    return clock, mcycles, mwork, executed
 
 
 def _invoke(vm, name, args, clock, executed):
@@ -216,9 +239,10 @@ def _invoke(vm, name, args, clock, executed):
     Performs, in the reference's exact order: depth check, callee
     materialization (compile-cycle charge + first-invocation hook +
     recompile drain), invocation count, the CALL instruction's cost at
-    the *callee's* speed charged to the callee's accounts, and the
-    sampler check under the callee's name. Returns
-    ``(result, clock, executed)``.
+    the *callee's* speed charged to the callee's accounts, and the tick
+    under the callee's name with its recompile drain. The callee's frame
+    runs the artifact it was entered with, at whatever speed the drain
+    left its method. Returns ``(result, clock, executed)``.
     """
     if vm.depth >= vm.max_depth:
         raise StackOverflowError(f"call depth exceeded {vm.max_depth}")
@@ -232,16 +256,6 @@ def _invoke(vm, name, args, clock, executed):
     clock = interp.clock
     state.invocations += 1
     compiled = state.compiled
-    fn = compiled.__dict__.get("_closure")
-    if fn is None:
-        try:
-            fn = ensure_closure(
-                compiled, interp.program, interp.jit.artifact_cache
-            )
-        except ClosureUnsupported:
-            # A shape this tier can't run (e.g. a hook recompiled the
-            # method into one): abandon and replay on the fast engine.
-            raise _Bailout() from None
     executed += 1
     cost = _W_CALL * compiled.speed_factor
     clock += cost
@@ -249,77 +263,69 @@ def _invoke(vm, name, args, clock, executed):
     mw = vm.mw
     mc[name] = mc.get(name, 0.0) + cost
     mw[name] = mw.get(name, 0.0) + _W_CALL
-    sampler = vm.sampler
-    if clock >= sampler._next_tick:
-        sampler.advance(clock, name)
+    if clock >= vm.sampler._next_tick:
+        clock = _tick(vm, clock, name)
+    fn = compiled.__dict__.get("_closure")
+    if fn is None:
+        try:
+            fn = ensure_closure(compiled, interp.program)
+        except ClosureUnsupported:
+            # The CALL is complete; the callee starts on the reference
+            # loop, and its callers follow it there.
+            locals_ = list(args) + [0] * (compiled.num_locals - len(args))
+            raise _Deopt(
+                clock, executed, name, compiled.code, 0, locals_, []
+            ) from None
     vm.depth += 1
     try:
-        return fn(vm, clock, executed, *args)
+        return fn(vm, state, clock, executed, *args)
     finally:
         vm.depth -= 1
 
 
-def _reachable_methods(program, entry: str) -> list[str]:
-    """Methods reachable from *entry* through static CALL edges.
-
-    Targets absent from the program are skipped: whether they raise
-    ``UnknownMethodError`` is a runtime question (the CALL may sit on a
-    dead path), answered identically by ``_invoke``.
-    """
-    seen = [entry]
-    todo = [entry]
-    while todo:
-        name = todo.pop()
-        for ins in program.method(name).code:
-            if ins.op == Op.CALL:
-                callee = ins.arg[0]
-                if callee not in seen and callee in program:
-                    seen.append(callee)
-                    todo.append(callee)
-    return seen
-
-
 def resolve_compiled(interp, entry_name: str):
-    """Run-level capability check; the entry closure if the run may
-    execute on the compiled tier, else ``None`` (route to fast).
+    """The entry closure if the run may start on the compiled tier, else
+    ``None`` (route to the fast engine).
 
-    Refusals, in check order:
+    Checks only what the run starts with, in this order:
 
-    - **Sample listeners attached** (adaptive runs): a listener may
-      observably act between any two instructions — between-safepoint
-      batching would be visible. Checked at ``run()`` time because
-      controllers attach after construction.
     - **Call depth beyond** :data:`MAX_COMPILED_DEPTH`: each VM call
       consumes host stack; past this we won't chase the recursion limit.
-    - **Any statically reachable method whose baseline artifact the
-      emitter can't structure** (or with unknown intrinsics): checking
-      the whole call graph up front keeps repeated runs of such programs
-      from paying a bailout-and-replay every time. Eager ``jit.compile``
-      here is safe: it only warms the per-run memo — compile *cycles*
-      are still charged at first invocation, exactly as the reference.
+    - **An entry artifact the emitter can't structure** (or with unknown
+      intrinsics). The artifact is the entry's live one, or its baseline
+      artifact before the run has materialized it.
+
+    A callee without a closure is found at its CALL, where the run
+    deoptimizes (:func:`_invoke`).
     """
-    if interp.sampler.has_listeners:
-        return None
     if interp.config.max_call_depth > MAX_COMPILED_DEPTH:
         return None
-    cache = interp.jit.artifact_cache
-    entry_fn = None
+    state = interp._states.get(entry_name)
+    compiled = (
+        state.compiled
+        if state is not None
+        else interp.jit.compile(entry_name, BASELINE_LEVEL)
+    )
     try:
-        for name in _reachable_methods(interp.program, entry_name):
-            state = interp._states.get(name)
-            compiled = (
-                state.compiled
-                if state is not None
-                else interp.jit.compile(name, BASELINE_LEVEL)
-            )
-            fn = ensure_closure(compiled, interp.program, cache)
-            if name == entry_name:
-                entry_fn = fn
-    except (ClosureUnsupported, VMError):
-        # VMError: a statically referenced but never-invoked method can be
-        # uncompilable; the other engines only fail if it actually runs.
+        return ensure_closure(compiled, interp.program)
+    except ClosureUnsupported:
         return None
-    return entry_fn
+
+
+#: Compiled runs live in this process, and the recursion limit they
+#: found when the first of them started (restored when the last ends).
+_limit_lock = threading.Lock()
+_live_runs = 0
+_saved_limit = 0
+
+
+def _host_depth() -> int:
+    depth = 0
+    frame = sys._getframe(1)
+    while frame is not None:
+        depth += 1
+        frame = frame.f_back
+    return depth
 
 
 def run_compiled(interp, state, args: tuple):
@@ -327,27 +333,31 @@ def run_compiled(interp, state, args: tuple):
 
     Entry contract mirrors ``run_fast``: the entry state exists, its
     invocation is counted, ``interp.clock`` is live. Raises
-    :class:`_Bailout` when the run must replay on the fast engine.
+    :class:`_Deopt` when the run must continue on the reference loop.
+
+    The recursion limit is raised, if need be, to cover this thread's
+    host depth at entry plus :data:`_FRAMES_PER_CALL` frames per VM call,
+    so the VM depth check always fires first. Serving runs execute on
+    executor threads, so the limit is restored only when no compiled run
+    is live in any thread.
     """
-    fn = state.compiled.__dict__.get("_closure")
-    if fn is None:  # pragma: no cover - resolve_compiled builds it
-        fn = ensure_closure(state.compiled, interp.program,
-                            interp.jit.artifact_cache)
+    global _live_runs, _saved_limit
+    fn = ensure_closure(state.compiled, interp.program)
     vm = _VMContext(interp)
-    old_limit = sys.getrecursionlimit()
-    need = _RECURSION_SLACK + 3 * vm.max_depth
-    bumped = need > old_limit
-    if bumped:
-        sys.setrecursionlimit(need)
+    need = _host_depth() + _FRAMES_PER_CALL * vm.max_depth + _RECURSION_SLACK
+    with _limit_lock:
+        if _live_runs == 0:
+            _saved_limit = sys.getrecursionlimit()
+        _live_runs += 1
+        if need > sys.getrecursionlimit():
+            sys.setrecursionlimit(need)
     try:
-        result, clock, executed = fn(vm, interp.clock, 0, *args)
-    except RecursionError as exc:
-        # Host stack exhausted before the VM depth check fired (possible
-        # when the driver itself sits deep in a host stack): replay.
-        raise _Bailout() from exc
+        result, clock, executed = fn(vm, state, interp.clock, 0, *args)
     finally:
-        if bumped:
-            sys.setrecursionlimit(old_limit)
+        with _limit_lock:
+            _live_runs -= 1
+            if _live_runs == 0 and sys.getrecursionlimit() != _saved_limit:
+                sys.setrecursionlimit(_saved_limit)
     interp.clock = clock
     interp.profile.instructions_executed = executed
     sampler = interp.sampler

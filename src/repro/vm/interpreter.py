@@ -18,7 +18,7 @@ from __future__ import annotations
 from random import Random
 from typing import Callable
 
-from .closures import _Bailout, resolve_compiled, run_compiled
+from .closures import _Deopt, resolve_compiled, run_compiled
 from .config import BASELINE_LEVEL, DEFAULT_CONFIG, VMConfig
 from .fastpath import FastFrame, run_fast
 from .errors import (
@@ -140,11 +140,6 @@ class Interpreter:
         self.intrinsic_ctx = IntrinsicContext(
             rng=Random(rng_seed), heap=Heap(gc_policy, gc_model)
         )
-        # Kept for the compiled tier's bailout-and-replay path, which
-        # reconstructs an identical run on the fast engine.
-        self._rng_seed = rng_seed
-        self._gc_policy = gc_policy
-        self._gc_model = gc_model
         self.clock = 0.0
         self.profile = RunProfile()
         self._states: dict[str, _MethodState] = {}
@@ -152,13 +147,16 @@ class Interpreter:
         self._recompile_queue: list[tuple[str, int]] = []
         self._first_invocation_hook = first_invocation_hook
         self._finished = False
+        # Instructions executed before the reference loop takes over a run
+        # midway: a forge child resumed from a fork snapshot, or a compiled
+        # run that deoptimized.
+        self._resume_executed = 0
         # Forge plumbing (repro.learning.forge): all default-off, and dormant
         # unless the forked-run labeler arms them on a reference-engine run.
         self._fork_hook: ForkHook | None = None
         self._shadow: dict[str, list[ShadowAccount]] | None = None
         self._shadow_gc = 0.0
         self._shadow_wpre = 0.0
-        self._resume_executed = 0
         # Parent-side: per-method *outer* entry counts (entries with no
         # frame of the same method already live) — the invariant a forked
         # child's stop plan is phrased in, because inlining and tail-call
@@ -263,12 +261,14 @@ class Interpreter:
         if self._outer_entries is not None:
             self._live_counts[entry_name] = 1
             self._outer_entries[entry_name] = 1
-        # Engine ladder: "auto" prefers compiled → fast; "compiled" pins the
-        # top tier but still routes unsupported runs down (silent fallback
-        # is part of its contract); "fast"/"reference" pin their loops
-        # ("reference" is the oracle for the differential harness and the
-        # benchmark suite). All tiers are bit-identical in virtual-cycle
-        # semantics — see repro.vm.fastpath and repro.vm.closures.
+        # Engine ladder: "auto" and "compiled" start on the compiled tier,
+        # listeners or not, and route a run to the fast engine only when
+        # its entry has no closure or its depth limit is beyond the tier;
+        # a compiled run that cannot go on deoptimizes onto the reference
+        # loop mid-run. "fast"/"reference" pin their loops ("reference" is
+        # the oracle for the differential harness and the benchmark
+        # suite). All tiers are bit-identical in virtual-cycle semantics —
+        # see repro.vm.fastpath and repro.vm.closures.
         entry_fn = None
         if self.engine in ("auto", "compiled"):
             entry_fn = resolve_compiled(self, entry_name)
@@ -276,8 +276,9 @@ class Interpreter:
             if entry_fn is not None:
                 try:
                     result = run_compiled(self, state, tuple(args))
-                except _Bailout:
-                    result = self._replay_on_fast(args, entry_name)
+                except _Deopt as deopt:
+                    self._restore_deopt(deopt)
+                    result = self._loop()
             else:
                 use_fast = self.engine != "reference"
                 frame_cls = FastFrame if use_fast else _Frame
@@ -334,38 +335,21 @@ class Interpreter:
         self._finalize(result)
         return self.profile
 
-    def _replay_on_fast(self, args: tuple, entry_name: str):
-        """Re-run from scratch on the fast engine after a compiled bailout.
-
-        The compiled tier bails *wholesale*: partial clock, accounts,
-        output, and heap effects of the abandoned attempt are discarded
-        with this interpreter's state and replaced by the inner run's —
-        adopted even when the inner run raises, because callers read
-        ``output``/profile after ExecutionErrors. The shared ``jit``
-        means the replay's compile memo is warm, charging identical
-        virtual compile cycles. First-invocation hooks are re-invoked
-        (all in-repo hooks are pure functions of the method name).
-        """
-        inner = Interpreter(
-            self.program,
-            config=self.config,
-            rng_seed=self._rng_seed,
-            jit=self.jit,
-            first_invocation_hook=self._first_invocation_hook,
-            gc_policy=self._gc_policy,
-            gc_model=self._gc_model,
-            engine="fast",
-        )
-        try:
-            inner.run(args, entry=entry_name)
-        finally:
-            self.clock = inner.clock
-            self.profile = inner.profile
-            self.sampler = inner.sampler
-            self.intrinsic_ctx = inner.intrinsic_ctx
-            self._states = inner._states
-            self._frames = inner._frames
-        return inner.result
+    def _restore_deopt(self, deopt: _Deopt) -> None:
+        """Rebuild a deoptimized compiled run's frames for the reference
+        loop, outermost first, each at its method's current speed (a
+        recompile applied mid-activation upgrades every live frame)."""
+        for name, code, pc, locals_, stack in reversed(deopt.frames):
+            frame = _Frame.__new__(_Frame)
+            frame.name = name
+            frame.code = code
+            frame.pc = pc
+            frame.locals = locals_
+            frame.stack = stack
+            frame.speed = self._states[name].compiled.speed_factor
+            self._frames.append(frame)
+        self.clock = deopt.clock
+        self._resume_executed = deopt.executed
 
     def _finalize(self, result) -> None:
         prof = self.profile

@@ -82,18 +82,17 @@ class CompiledCode:
     def __getstate__(self):
         # The fast-path engine memoizes its decoded instruction streams on
         # the artifact (repro.vm.fastpath.ensure_decoded), and the compiled
-        # tier memoizes its generated closure/source/unsupported-reason
+        # tier memoizes its generated closure/unsupported-reason
         # (repro.vm.closures.ensure_closure); strip every memo when
         # pickling. Beyond compactness this is load-bearing for the
         # serving fleet: artifacts round-trip through the shared
         # JITArtifactCache across hot model swaps, and a pickled closure
         # would either fail to serialize or resurrect stale generated
-        # code after a cache invalidation. Source is re-derived (and
-        # separately cached) from the artifact itself.
+        # code after a cache invalidation. The closure is rebuilt from
+        # the artifact itself.
         state = dict(self.__dict__)
         state.pop("_decoded", None)
         state.pop("_closure", None)
-        state.pop("_closure_src", None)
         state.pop("_closure_unsupported", None)
         return state
 

@@ -18,11 +18,12 @@ from repro.aos.controller import AdaptiveController
 from repro.lang import compile_source
 from repro.testing import (
     FUZZ_CONFIG,
+    Variant,
     default_variants,
     generate,
     run_differential,
 )
-from repro.vm import Interpreter, Op, VMConfig
+from repro.vm import Interpreter, Op, VMConfig, interpreter
 from repro.vm.fastpath import (
     F_CMP_JZ,
     F_DUP_ADD,
@@ -178,8 +179,8 @@ def test_runtime_fault_identical():
 
 
 # ---------------------------------------------------------------------------
-# Compiled-tier corpus: shapes that stress the structurizer and the
-# bail-and-replay machinery specifically
+# Compiled-tier corpus: shapes that stress the structurizer and
+# deoptimization specifically
 # ---------------------------------------------------------------------------
 
 DEEP_NEST_SRC = """
@@ -225,33 +226,122 @@ def test_compiled_deep_nesting_identical():
 
 @pytest.mark.parametrize("fuel", [5, 37, 200, 777, 3000])
 def test_compiled_fuel_exhaustion_mid_loop(fuel):
-    # Budget-critical runs must bail out of the compiled tier and replay
-    # on the fast engine; the fault surfaces after exactly the same
+    # Budget-critical runs must deoptimize off the compiled tier onto the
+    # reference loop; the fault surfaces after exactly the same
     # instruction with the same partial output either way.
     program = compile_source(DEEP_NEST_SRC)
     config = VMConfig(max_instructions=fuel)
     assert_engines_agree(program, (9,), config=config)
 
 
-def test_compiled_sampler_attached_falls_back_identically():
-    # Adaptive runs attach sample listeners; the compiled tier must
-    # refuse them (a listener can observably act between any two
-    # instructions) and the run must land on the fast path, bit-identical
-    # to the reference.
+@pytest.fixture
+def deopts(monkeypatch):
+    """Refuse the fast engine and record each deoptimization's frames
+    (method names, innermost first): a run checked under this fixture
+    starts compiled and leaves the tier only by deoptimizing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run was routed to the fast engine")
+
+    seen = []
+    restore = interpreter.Interpreter._restore_deopt
+
+    def record(self, deopt):
+        seen.append(tuple(frame[0] for frame in deopt.frames))
+        restore(self, deopt)
+
+    monkeypatch.setattr(interpreter, "run_fast", refuse)
+    monkeypatch.setattr(interpreter.Interpreter, "_restore_deopt", record)
+    return seen
+
+
+def test_compiled_sampler_attached_runs_identically(deopts):
+    # Adaptive runs attach sample listeners and run on the compiled tier:
+    # every tick, recompile and speed change must land on the same
+    # instruction as in the reference loop, at the default interval and
+    # at a small prime one that ticks mid-block.
     program = compile_source(HOT_SRC)
-    ref = _adaptive_run(program, (600,), "reference")
-    compiled = _adaptive_run(program, (600,), "compiled")
-    assert ref == compiled
+    for interval in (4_000, 53):
+        ref = _adaptive_run(program, (600,), "reference", interval)
+        compiled = _adaptive_run(program, (600,), "compiled", interval)
+        assert ref == compiled
+        assert any(level > -1 for _, level in ref[7])
+    assert deopts == []
 
 
-def test_resolve_compiled_refuses_listeners_and_extreme_depth():
+def _adaptive_matrix(program, args, config):
+    """The ``adaptive`` config on the compiled engine, judged against its
+    reference run."""
+    variant = Variant("adaptive", engine="compiled", controller="adaptive")
+    report = run_differential(program, args, (variant,), config)
+    assert not report.divergences, "\n".join(
+        d.describe() for d in report.divergences
+    )
+    return report
+
+
+@pytest.mark.parametrize("fuel", [777, 3000, 4900])
+def test_adaptive_fuel_exhaustion_mid_loop_deoptimizes(fuel, deopts):
+    # Near the budget a compiled adaptive run deoptimizes at a back-edge
+    # or call return, and the reference loop, with the controller still
+    # attached, decides exactly where the fuel runs out.
+    program = compile_source(DEEP_NEST_SRC)
+    report = _adaptive_matrix(program, (9,), VMConfig(max_instructions=fuel))
+    assert report.outcomes["adaptive:compiled"].kind == "resource"
+    assert len(deopts) == 1
+
+
+NO_CLOSURE_SRC = """
+fn main(n) {
+  var total = 0;
+  var i = 0;
+  while (i < n) {
+    total = total + helper(i);
+    if (i > n / 2) { total = total + pick(i); }
+    i = i + 1;
+  }
+  return total;
+}
+fn helper(x) {
+  var acc = 0;
+  var j = 0;
+  while (j < 12) {
+    acc = acc + x * j;
+    j = j + 1;
+  }
+  return acc;
+}
+fn pick(x) {
+  if (x % 7 > 2 && x % 3 < 2) { return x; }
+  return 1;
+}
+"""
+
+
+def test_adaptive_callee_without_closure_deoptimizes(deopts):
+    # The emitter cannot structure pick's short-circuit condition, so its
+    # first CALL deoptimizes: pick starts on the reference loop and main's
+    # live frame follows it there, mid-loop, ticks and recompiles intact.
+    from repro.vm import DEFAULT_CONFIG, JITCompiler
+    from repro.vm.closures import ClosureUnsupported, ensure_closure
+
+    program = compile_source(NO_CLOSURE_SRC)
+    pick = JITCompiler(program, DEFAULT_CONFIG).compile("pick", -1)
+    with pytest.raises(ClosureUnsupported):
+        ensure_closure(pick, program)
+    report = _adaptive_matrix(program, (400,), FUZZ_CONFIG)
+    outcome = report.outcomes["adaptive:compiled"]
+    assert outcome.kind == "ok"
+    assert any(level > -1 for _, level, _, _ in outcome.compile_events)
+    assert deopts == [("pick", "main")]
+
+
+def test_resolve_compiled_accepts_listeners_refuses_extreme_depth():
     from repro.vm.closures import MAX_COMPILED_DEPTH, resolve_compiled
 
     program = compile_source(HOT_SRC)
     interp = Interpreter(program, engine="compiled")
-    assert resolve_compiled(interp, "main") is not None
     AdaptiveController(interp)
-    assert resolve_compiled(interp, "main") is None
+    assert resolve_compiled(interp, "main") is not None
 
     deep = Interpreter(
         program,
@@ -279,6 +369,48 @@ def test_compiled_stack_overflow_edges(depth):
     )
     config = VMConfig(max_call_depth=depth)
     assert_engines_agree(program, (0,), config=config, configs=("base", "L2"))
+
+
+def test_recursion_limit_held_while_any_thread_runs_compiled():
+    # Serving runs execute compiled on executor threads. A deep run needs
+    # the raised recursion limit for its whole length, so the limit may
+    # drop back only once no compiled run is live in any thread; a deep
+    # run that outlived it would die with a RecursionError.
+    import sys
+    import threading
+
+    program = compile_source(
+        """
+        fn main(n) { return down(n); }
+        fn down(k) { if (k == 0) { return 0; } return down(k - 1) + 1; }
+        """
+    )
+    config = VMConfig(max_call_depth=1_000)
+    limit = sys.getrecursionlimit()
+    errors = []
+
+    def worker():
+        try:
+            for depth in (900, 40, 900, 300) * 5:
+                interp = Interpreter(program, config=config, engine="compiled")
+                interp.run((depth,))
+                assert interp.result == depth
+        except BaseException as exc:  # reported by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    assert sys.getrecursionlimit() == limit
 
 
 def test_compiled_runtime_fault_edges():
@@ -341,38 +473,13 @@ def test_ensure_closure_memoizes_and_pickles_clean():
     compiled = jit.compile("main", 2)
     first = ensure_closure(compiled, program)
     assert ensure_closure(compiled, program) is first
-    assert isinstance(compiled.__dict__["_closure_src"], str)
     # The hot-swap staleness guarantee: artifacts round-tripping through
     # the shared JIT artifact cache must never resurrect a generated
-    # function object — only source (separately cached) survives.
+    # function object.
     clone = pickle.loads(pickle.dumps(compiled))
     assert "_closure" not in clone.__dict__
-    assert "_closure_src" not in clone.__dict__
     assert "_closure_unsupported" not in clone.__dict__
     assert clone.code == compiled.code
-
-
-def test_closure_source_cached_in_artifact_cache(tmp_path):
-    from repro.vm import DEFAULT_CONFIG, JITCompiler
-    from repro.vm.closures import closure_source_key, ensure_closure
-    from repro.vm.opt.artifact_cache import JITArtifactCache
-
-    program = compile_source(HOT_SRC)
-    cache = JITArtifactCache(str(tmp_path))
-    jit = JITCompiler(program, DEFAULT_CONFIG, artifact_cache=cache)
-    compiled = jit.compile("main", 0)
-    ensure_closure(compiled, program, cache)
-    src = compiled.__dict__["_closure_src"]
-    key = closure_source_key(
-        compiled, program.method("main").num_params
-    )
-    assert cache.get(key) == src
-    # A fresh artifact (fresh memo) reuses the cached source verbatim.
-    jit2 = JITCompiler(program, DEFAULT_CONFIG, artifact_cache=cache)
-    compiled2 = jit2.compile("main", 0)
-    assert "_closure" not in compiled2.__dict__ or compiled2 is compiled
-    ensure_closure(compiled2, program, cache)
-    assert compiled2.__dict__["_closure_src"] == src
 
 
 # ---------------------------------------------------------------------------

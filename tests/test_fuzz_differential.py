@@ -1,9 +1,9 @@
 """Tests for the differential executor and the end-to-end fuzz loop.
 
-The acceptance tests at the bottom break an optimization pass and an
-engine's cost accounting on purpose and require the harness to catch
-each bug and shrink it to a minimal reproducer — the whole point of the
-subsystem.
+The acceptance tests at the bottom break an optimization pass, an
+engine's cost accounting and the compiled tier's tick delivery on
+purpose and require the harness to catch each bug and shrink it to a
+minimal reproducer — the whole point of the subsystem.
 """
 
 from pathlib import Path
@@ -36,14 +36,15 @@ class TestVariantMatrix:
         assert "pass:constant_folding" in configs
         assert "pass:tail_call" in configs
         assert "pass:dce" in configs
-        assert len(configs) == 10
+        assert configs[-2:] == ["adaptive", "plan"]
+        assert len(configs) == 12
         # Every config on every engine.
         assert {(v.config, v.engine) for v in variants} == {
             (config, engine)
             for config in configs
             for engine in ("reference", "fast", "compiled")
         }
-        assert len(variants) == 30
+        assert len(variants) == 36
 
     def test_outcome_tracks_output_and_heap(self):
         source = """
@@ -161,3 +162,53 @@ class TestBrokenEngineAcceptance:
         assert not report.ok
         for finding in report.findings:
             assert all(":compiled:" in v for v in finding.divergent)
+
+
+class TestBrokenTickAcceptance:
+    """A sample tick the compiled tier delivers one instruction late is
+    caught by the corpus replay, in an adaptive config: the recompile the
+    tick applies then changes the speed one instruction too late."""
+
+    @pytest.fixture
+    def late_tick(self, monkeypatch):
+        import repro.vm.closures as closures
+
+        def late_replay(vm, state, name, works, clock, mcycles, mwork,
+                        executed):
+            speed = state.compiled.speed_factor
+            due = False
+            for work in works:
+                if work.__class__ is tuple:
+                    work, gc = work
+                    if gc:
+                        work = work + gc / speed
+                cost = work * speed
+                clock = clock + cost
+                mcycles = mcycles + cost
+                mwork = mwork + work
+                executed += 1
+                if due:  # the previous instruction reached the tick
+                    vm.mc[name] = mcycles
+                    vm.mw[name] = mwork
+                    clock = closures._tick(vm, clock, name)
+                    speed = state.compiled.speed_factor
+                due = clock >= vm.sampler._next_tick
+            if due:
+                vm.mc[name] = mcycles
+                vm.mw[name] = mwork
+                clock = closures._tick(vm, clock, name)
+            return clock, mcycles, mwork, executed
+
+        monkeypatch.setattr(closures, "_replay", late_replay)
+
+    def test_corpus_replay_catches_late_tick(self, late_tick):
+        labels = [
+            label
+            for _, report in replay_corpus(CORPUS_DIR)
+            for label in report.labels()
+        ]
+        assert any(
+            label.startswith(("adaptive:compiled:", "plan:compiled:"))
+            for label in labels
+        ), labels
+        assert all(":compiled:" in label for label in labels), labels

@@ -253,3 +253,22 @@ def test_cached_artifact_pickles_without_decode_memo(tmp_path, program):
     clone = pickle.loads(raw)
     assert "_decoded" not in clone.__dict__
     assert JITArtifactCache(dir_).get(key) is not None
+
+
+def test_sweeps_keep_only_the_current_cache_directory(tmp_path):
+    # A process that sweeps with one fresh cache directory after another
+    # keeps only the current directory's cache, so its memory stays flat.
+    from repro.bench import get_benchmark
+    from repro.experiments.parallel import _ARTIFACT_CACHES, run_sweep
+
+    for name in ("first", "second"):
+        report = run_sweep(
+            [get_benchmark("Search")],
+            jobs=1,
+            runs=2,
+            scenarios=("default",),
+            jit_cache_dir=str(tmp_path / name),
+            backoff_s=0.0,
+        )
+        assert report.cells_failed == 0, report.failures
+    assert list(_ARTIFACT_CACHES) == [str(tmp_path / "second")]

@@ -4,14 +4,14 @@ Two properties the tier's routing layer must uphold regardless of what
 the emitter supports:
 
 1. **Fallback identity.** Whatever ``resolve_compiled`` decides — run
-   compiled, or route to the fast engine (listeners, depth, unsupported
-   shapes) — an ``engine="compiled"`` run is observably identical to
-   ``engine="reference"``: result, output, heap effects, clocks,
-   per-method accounts, samples, compile events.
+   compiled, or route to the fast engine (depth, an unsupported entry)
+   — and wherever the run deoptimizes, an ``engine="compiled"`` run is
+   observably identical to ``engine="reference"``: result, output, heap
+   effects, clocks, per-method accounts, samples, compile events.
 2. **Deterministic routing.** For a fixed artifact, the emit decision
    (source text or refusal reason) is a pure function of the artifact's
-   code: repeated emissions agree, fresh interpreters route the same
-   way, and the source cache key is stable.
+   code: repeated emissions agree, and fresh interpreters route the same
+   way.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -22,7 +22,6 @@ from repro.vm import DEFAULT_CONFIG, Interpreter, JITCompiler, VMConfig
 from repro.vm.closure_emit import UnsupportedShape, emit_closure_source
 from repro.vm.closures import (
     ClosureUnsupported,
-    closure_source_key,
     ensure_closure,
     resolve_compiled,
 )
@@ -59,8 +58,8 @@ def test_compiled_engine_identical_on_generated_programs(index):
     depth=st.integers(min_value=2, max_value=3_000),
 )
 def test_compiled_engine_identical_under_tight_limits(fuel, depth):
-    # Fuel forces the bail-and-replay path; extreme depth forces the
-    # run-level refusal. Both must be invisible in the observables.
+    # Fuel forces deoptimization; extreme depth forces the run-level
+    # refusal. Both must be invisible in the observables.
     program = compile_source(
         """
         fn main(n) {
@@ -131,28 +130,22 @@ def test_emission_is_deterministic(index):
         num_params = program.method(name).num_params
         try:
             first = emit_closure_source(
-                name, compiled.code, num_params,
-                compiled.num_locals, compiled.speed_factor,
+                name, compiled.code, num_params, compiled.num_locals
             )
         except UnsupportedShape as exc:
             # Refusals are just as deterministic as emissions.
             try:
                 emit_closure_source(
-                    name, compiled.code, num_params,
-                    compiled.num_locals, compiled.speed_factor,
+                    name, compiled.code, num_params, compiled.num_locals
                 )
                 raise AssertionError("second emission did not refuse")
             except UnsupportedShape as exc2:
                 assert str(exc) == str(exc2)
             continue
         second = emit_closure_source(
-            name, compiled.code, num_params,
-            compiled.num_locals, compiled.speed_factor,
+            name, compiled.code, num_params, compiled.num_locals
         )
         assert first == second
-        assert closure_source_key(compiled, num_params) == closure_source_key(
-            compiled, num_params
-        )
 
 
 def test_routing_is_deterministic_across_fresh_interpreters():
@@ -170,19 +163,3 @@ def test_routing_is_deterministic_across_fresh_interpreters():
         interp = Interpreter(program, engine="compiled")
         decisions.add(resolve_compiled(interp, "main") is not None)
     assert decisions == {True}
-
-
-def test_source_key_tracks_codegen_inputs():
-    program = compile_source(
-        "fn main(n) { return n + 1; }\nfn other(n) { return n + 2; }"
-    )
-    jit = JITCompiler(program, DEFAULT_CONFIG)
-    a = jit.compile("main", -1)
-    b = jit.compile("other", -1)
-    l2 = jit.compile("main", 2)
-    keys = {
-        closure_source_key(a, 1),
-        closure_source_key(b, 1),
-        closure_source_key(l2, 1),
-    }
-    assert len(keys) == 3

@@ -121,8 +121,8 @@ class TestStaleClosures:
     round-trip through the shared JIT cache) must discard stale generated
     closures. ``CompiledCode.__getstate__`` strips the ``_closure*``
     memos, so a swapped-in artifact always rebuilds its function from
-    (separately cached) source — it can never resurrect a function
-    object generated before the invalidation."""
+    the artifact itself — it can never resurrect a function object
+    generated before the invalidation."""
 
     def test_cache_roundtrip_discards_generated_closures(self, tmp_path):
         from repro.lang import compile_source
@@ -134,7 +134,7 @@ class TestStaleClosures:
         cache = JITArtifactCache(str(tmp_path))
         jit = JITCompiler(program, DEFAULT_CONFIG, artifact_cache=cache)
         compiled = jit.compile("main", 2)
-        fn = ensure_closure(compiled, program, cache)
+        fn = ensure_closure(compiled, program)
         assert compiled.__dict__["_closure"] is fn
 
         # Simulate the post-swap tenant: the in-memory layer is gone
@@ -144,16 +144,12 @@ class TestStaleClosures:
         swapped = cache.get(key)
         assert swapped is not None and swapped is not compiled
         assert "_closure" not in swapped.__dict__
-        assert "_closure_src" not in swapped.__dict__
         assert "_closure_unsupported" not in swapped.__dict__
-        # The rebuilt closure is a fresh function over the same (cached)
-        # source, and it still executes correctly.
-        rebuilt = ensure_closure(swapped, program, cache)
+        # The rebuilt closure is a fresh function, and it still executes
+        # correctly.
+        rebuilt = ensure_closure(swapped, program)
         assert rebuilt is not fn
-        assert (
-            swapped.__dict__["_closure_src"]
-            == compiled.__dict__["_closure_src"]
-        )
+        assert swapped.__dict__["_closure"] is rebuilt
         interp = Interpreter(program, engine="compiled")
         interp.run((20,))
         assert interp.result == 41

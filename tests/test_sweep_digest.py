@@ -4,9 +4,11 @@
 ``RunOutcome`` of a two-run, four-scenario sweep of all eleven Table I
 programs at seed 0, per outcome the fields perfbench's ``outcome_digest``
 hashes. Every driver of the protocol must reproduce it: the inline and
-pooled sweep, the serial runner, and the reference engine. A change that
-moves it changed what the paper's experiments observe: commit a new
-value only with a CHANGES.md line saying what observable changed.
+pooled sweep, the serial runner, and each engine named one by one
+(``auto`` follows the routing, which could quietly stop covering an
+engine). A change that moves it changed what the paper's experiments
+observe: commit a new value only with a CHANGES.md line saying what
+observable changed.
 """
 
 import dataclasses
@@ -74,8 +76,27 @@ def _swept(**options):
         lambda: _swept(jobs=2),
         _serial,
         lambda: _swept(jobs=1, engine="reference"),
+        lambda: _swept(jobs=1, engine="fast"),
+        lambda: _swept(jobs=1, engine="compiled"),
     ],
-    ids=["sweep-jobs1", "sweep-jobs2", "serial-runner", "reference-engine"],
+    ids=[
+        "sweep-jobs1", "sweep-jobs2", "serial-runner",
+        "reference-engine", "fast-engine", "compiled-engine",
+    ],
 )
 def test_every_driver_reproduces_the_sweep_digest(drive):
     assert sweep_digest(drive()) == SWEEP_DIGEST
+
+
+def test_every_sweep_run_stays_compiled(monkeypatch):
+    # With the fast engine and the reference loop made to fail, the
+    # digest passes only if every run of the sweep started on the
+    # compiled tier and never deoptimized.
+    from repro.vm import interpreter
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a sweep run left the compiled tier")
+
+    monkeypatch.setattr(interpreter, "run_fast", refuse)
+    monkeypatch.setattr(interpreter.Interpreter, "_loop", refuse)
+    assert sweep_digest(_swept(jobs=1)) == SWEEP_DIGEST
