@@ -13,7 +13,7 @@ Commands map one-to-one onto the experiment harness:
     python -m repro coldstart             # cross-program prior uplift (forge)
     python -m repro serve                 # multi-tenant fleet server (TCP)
     python -m repro serve --study         # fleet serving study (driving scenario)
-    python -m repro bench                 # VM wall-clock benchmark suite
+    python -m repro bench                 # same-runner speedup-ratio gates
     python -m repro bench NAME [RUNS]     # one benchmark, 3 scenarios
     python -m repro sweep [NAME ...]      # parallel sweep w/ cache+telemetry
     python -m repro fuzz                  # differential fuzz the VM/JIT
@@ -31,12 +31,14 @@ disables the cross-run JIT artifact cache). ``fuzz`` adds
 ``--iterations N``, ``--time-budget SECONDS``, ``--corpus-dir PATH``
 (write minimized reproducers there; exit status 1 when any divergence is
 found); every program runs through the one differential matrix, every
-compilation config on every engine. Bare ``bench`` runs
-the wall-clock VM benchmark suite — interpreter workloads, a sweep cell,
-fuzz throughput, and the learning layer (training rows/s, fast-vs-
-reference model-construction speedup with identical-tree checks, and
-flattened predict-all latency) — and writes ``BENCH_vm.json``; it takes
-``--quick``, ``--out PATH``, ``--baseline PATH``, and
+compilation config on every engine. Bare ``bench`` measures
+same-runner speedup ratios — each VM engine against the reference loop,
+the fast against the reference tree builder, the batched inference
+kernel against per-row predicts, forked against naive labeling, and the
+median CPU-time overhead of concurrent serving over serial replay — with
+every result checked identical to its reference, and writes
+``BENCH_vm.json``; it takes ``--quick``, ``--out PATH``, ``--baseline
+PATH`` (exit status 1 and one ``REGRESSION:`` line per failed gate), and
 ``--max-regression FRACTION``. ``chaos [BENCH]`` runs seeded
 fault-injection campaigns over the crash-safe persistence stack
 (``--iterations N`` campaigns, ``--seed N``, ``--runs N`` VM runs per
@@ -322,7 +324,7 @@ def main(argv: list[str] | None = None) -> int:
 
     if command == "bench":
         if not options.args:
-            # Bare `repro bench`: the VM wall-clock benchmark suite.
+            # Bare `repro bench`: the same-runner speedup-ratio gates.
             import json
 
             from .bench.vmbench import (

@@ -1,22 +1,13 @@
-"""Wall-clock benchmark for the learning layer's training/prediction engine.
+"""Bench section for the learning layer's training engine.
 
 The VM-side suite (:mod:`repro.bench.vmbench`) times the execution
-engines; this module times the other wall-clock consumer in an evolvable
-run — offline model construction and run-start prediction — on a
-synthetic Table-I-scale workload (one feature matrix shared by ~a hundred
-per-method models, mixed numeric/categorical features, ~5% missing). It
-reports three things:
-
-1. **Training throughput** — a full fast-engine ``refit_all`` over every
-   method model (shared presort + sweep-line split search), in training
-   rows per second.
-2. **Speedup vs. reference** — the reference builder is timed on a small
-   method subset (it is too slow to run over all of them) against the
-   fast engine *including its presort cost*, asserting the resulting
-   trees are identical; reported per method plus the geomean.
-3. **Predict-all latency** — microseconds for one pass of the flattened
-   forest routing a fresh input vector through every method tree, the
-   exact operation on the run-start hot path.
+engines; this module times offline model construction on a synthetic
+Table-I-scale workload (one feature matrix shared by ~a hundred
+per-method models, mixed numeric/categorical features, ~5% missing). The
+reference builder is timed on a small method subset (it is too slow to
+run over all of them) against the fast engine *including its presort
+cost*, asserting the resulting trees are identical; the section reports
+the speedup per method plus the geomean.
 
 Results land in the ``learning`` section of ``BENCH_vm.json``; CI's
 regression gate compares the machine-independent fast/reference speedup
@@ -33,6 +24,7 @@ from ..core.model_builder import ModelBuilder
 from ..learning.matrix import TrainingMatrix
 from ..learning.tree import ClassificationTree, TreeParams
 from ..xicl.features import FeatureVector
+from .vmbench import geomean
 
 #: Production hyper-parameters — the bench must time the trees the VM
 #: actually builds, not a contrived deep configuration.
@@ -97,24 +89,6 @@ def _build_trained(methods: int, runs: int, seed: int = 0) -> ModelBuilder:
     return builder
 
 
-def bench_training(quick: bool = False) -> tuple[ModelBuilder, dict]:
-    """Time one full fast-engine offline-construction pass."""
-    methods, runs = _SIZES["quick" if quick else "full"]
-    builder = _build_trained(methods, runs)
-    start = time.perf_counter()
-    builder.refit_all()
-    wall = time.perf_counter() - start
-    rows = methods * runs
-    return builder, {
-        "methods": methods,
-        "runs": runs,
-        "training_rows": rows,
-        "wall_s": wall,
-        "rows_per_s": rows / wall,
-        "presort": builder.presort_stats(),
-    }
-
-
 def bench_speedup(
     builder: ModelBuilder, quick: bool = False, repeats: int = 3
 ) -> dict:
@@ -157,59 +131,25 @@ def bench_speedup(
     return {
         "methods_timed": len(rows),
         "per_method": rows,
-        "geomean": _geomean(speedups),
+        "geomean": geomean(speedups),
         "min": min(speedups),
         "max": max(speedups),
         "identical_trees": identical,
     }
 
 
-def bench_predict(builder: ModelBuilder, quick: bool = False) -> dict:
-    """Time the run-start hot path: ``predict_all`` over a fresh vector."""
-    queries = 200 if quick else 1000
-    rng = Random(1)
-    vectors = [_synthetic_vector(rng) for _ in range(queries)]
-    forest = builder.forest  # compile off the timed path, as in production
-    for vector in vectors[:10]:  # warm-up
-        forest.predict_all(vector)
-    start = time.perf_counter()
-    for vector in vectors:
-        forest.predict_all(vector)
-    wall = time.perf_counter() - start
-    return {
-        "queries": queries,
-        "trees": len(forest),
-        "wall_s": wall,
-        "per_call_us": wall / queries * 1e6,
-    }
-
-
-def _geomean(values: list[float]) -> float:
-    import math
-
-    return math.exp(sum(math.log(v) for v in values) / len(values))
-
-
 def bench_learning(quick: bool = False) -> dict:
     """Run the learning bench; the ``learning`` section of the report."""
-    builder, training = bench_training(quick=quick)
-    speedup = bench_speedup(builder, quick=quick)
-    predict = bench_predict(builder, quick=quick)
-    return {"training": training, "speedup": speedup, "predict": predict}
+    methods, runs = _SIZES["quick" if quick else "full"]
+    builder = _build_trained(methods, runs)
+    return {"speedup": bench_speedup(builder, quick=quick)}
 
 
 def format_learning(section: dict) -> list[str]:
     """Human-readable lines for the CLI summary."""
-    training = section["training"]
     speedup = section["speedup"]
-    predict = section["predict"]
     return [
-        f"learning: refit {training['methods']} methods x "
-        f"{training['runs']} runs in {training['wall_s']:.2f}s "
-        f"({training['rows_per_s'] / 1e3:.1f}k rows/s)",
         f"learning speedup vs reference ({speedup['methods_timed']} "
         f"methods): geomean {speedup['geomean']:.2f}x, "
         f"min {speedup['min']:.2f}x, max {speedup['max']:.2f}x",
-        f"predict_all ({predict['trees']} trees): "
-        f"{predict['per_call_us']:.0f}us/call",
     ]

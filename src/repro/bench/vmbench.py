@@ -1,40 +1,33 @@
-"""Wall-clock benchmark suite for the VM execution engines.
+"""The ``repro bench`` suite: same-runner speedup ratios, gated.
 
-Everything else in this repository measures *virtual* cycles; this module
-measures *host* wall-clock, answering one question: how much real time does
-the fast-path engine (:mod:`repro.vm.fastpath`) save over the reference
-interpreter? It times three things:
+Everything else in this repository measures *virtual* cycles, and
+``perfbench/`` measures the real workloads end to end. This suite keeps
+only what neither of those measures: ratios of two host timings taken on
+the same runner, each checked for soundness as it is taken, so a
+regression gate on them does not depend on the runner's hardware.
 
-1. **Interpreter throughput** — three workloads (arithmetic loop, array
-   sweep, call-heavy) on all three engines (reference loop, fast path,
-   closure-compiled tier) at baseline and at opt level 2, reporting
-   instructions/second plus the fast/reference and compiled/reference
-   speedups.
-2. **A Table I sweep cell** — one benchmark's scenario cell through
-   :func:`repro.experiments.parallel.execute_cell`, cold vs. warm JIT
-   artifact cache, asserting the virtual-cycle outcomes are identical.
-3. **Fuzz iterations** — differential fuzz throughput, since the fuzz
-   harness is the other big wall-clock consumer in CI.
-4. **The learning layer** (:mod:`repro.bench.learnbench`) — offline model
-   construction throughput, the fast/reference training speedup (trees
-   checked identical), and flattened predict-all latency.
-5. **The serving layer** (:mod:`repro.bench.servebench`) — sustained
-   concurrent mixed-tenant traffic through the fleet server: request
-   latency percentiles (p50/p95/p99), throughput, hot swaps, sheds, and
-   the bit-identical-to-serial invariant; plus (schema v6) the batched
-   inference kernel's speedup over per-row predicts and multi-process
-   shard-scaling throughput, both checked bit-identical.
-6. **The data forge** (:mod:`repro.bench.forgebench`) — the forked-run
-   labeler's speedup over independent-runs labeling (labels asserted
-   bit-identical) and end-to-end dataset-factory throughput in labeled
-   rows per second.
+1. **VM engines** (this module) — three workloads (arithmetic loop,
+   array sweep, call-heavy) on the reference loop, the fast path and
+   the closure-compiled tier, at baseline and at opt level 2,
+   best-of-N wall-clock. Results must agree across engines; the
+   fast/reference and compiled/reference speedups are gated per row and
+   as geomeans.
+2. **The learning layer** (:mod:`repro.bench.learnbench`) — the fast
+   against the reference tree builder, trees checked identical.
+3. **The serving layer** (:mod:`repro.bench.servebench`) — the median
+   CPU-time overhead ratio of concurrent serving over serial replay, the
+   batched inference kernel against per-row predicts, and (reported,
+   not gated) multi-process shard scaling; every result checked
+   bit-identical to serial replay.
+4. **The data forge** (:mod:`repro.bench.forgebench`) — the forked-run
+   labeler against independent-runs labeling, labels checked
+   bit-identical.
 
-Results are emitted as a schema-checked ``BENCH_vm.json``. CI's regression
-gate compares the engine/reference **speedup ratios** (VM workloads,
-compiled-tier geomean, and learning geomean) against a checked-in baseline
-(``benchmarks/BENCH_baseline.json``) rather than absolute
-instructions/second, which would vary with runner hardware. The baseline
-must validate against the current schema; an older one is rejected.
+Results are emitted as a schema-checked ``BENCH_vm.json``.
+:func:`compare_to_baseline` gates the ratios against a checked-in
+baseline (``benchmarks/BENCH_baseline.json``), which must validate
+against the current schema; an older one is rejected, and a report row
+the baseline lacks is a failure, not a skipped gate.
 """
 
 from __future__ import annotations
@@ -47,7 +40,7 @@ import time
 from ..lang import compile_source
 from ..vm import Interpreter
 
-BENCH_SCHEMA_VERSION = 6
+BENCH_SCHEMA_VERSION = 7
 
 #: Workload sources: small MiniLang kernels exercising the three hot shapes
 #: the fast engine targets (fused arithmetic loops, array traffic, calls).
@@ -100,6 +93,9 @@ _ITERS = {
 #: Opt levels measured per workload (None = leave everything at baseline).
 _LEVELS: tuple[int | None, ...] = (None, 2)
 
+#: Timed runs per engine and row; the row keeps each engine's best.
+_REPEATS = 3
+
 
 def _time_run(program, n: int, engine: str, level: int | None) -> tuple[float, int, object]:
     hook = (lambda _name: level) if level is not None else None
@@ -112,8 +108,9 @@ def _time_run(program, n: int, engine: str, level: int | None) -> tuple[float, i
     return wall, profile.instructions_executed, interp.result
 
 
-def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
-    """Time every workload on all three engines; best-of-*repeats* each."""
+def bench_workloads(quick: bool = False) -> list[dict]:
+    """Time every workload on all three engines; best of :data:`_REPEATS`
+    runs each."""
     rows: list[dict] = []
     for name, source in WORKLOADS.items():
         program = compile_source(source)
@@ -124,7 +121,7 @@ def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
             results: dict[str, object] = {}
             for engine in ("reference", "fast", "compiled"):
                 walls = []
-                for _ in range(repeats):
+                for _ in range(_REPEATS):
                     wall, instructions, result = _time_run(
                         program, n, engine, level
                     )
@@ -159,101 +156,8 @@ def bench_workloads(quick: bool = False, repeats: int = 3) -> list[dict]:
     return rows
 
 
-def bench_sweep_cell(quick: bool = False, cache_dir=None) -> dict:
-    """Time one Table I sweep cell cold vs. warm JIT artifact cache.
-
-    The cell's virtual-cycle outcomes must be bit-identical with the cache
-    off, cold, and warm — this function asserts it (the acceptance
-    criterion for cache soundness) and reports wall times plus cache stats.
-    """
-    import tempfile
-
-    from .suite import get_benchmark
-    from ..experiments.parallel import (
-        CellSpec,
-        _ARTIFACT_CACHES,
-        derive_sequence,
-        execute_cell,
-    )
-    from ..vm.config import DEFAULT_CONFIG
-
-    bench = get_benchmark("Compress")
-    runs = 2 if quick else 6
-    sequence = tuple(derive_sequence(bench, seed=0, n_runs=runs))
-
-    def spec(jit_cache_dir):
-        return CellSpec(
-            benchmark=bench.name,
-            scenarios=("default",),
-            start=0,
-            stop=runs,
-            seed=0,
-            sequence=sequence,
-            config=DEFAULT_CONFIG,
-            gamma=None,
-            threshold=None,
-            tree_params=None,
-            jit_cache_dir=jit_cache_dir,
-        )
-
-    def cycles(payload) -> list[float]:
-        return [
-            outcome.profile.total_cycles
-            for outcome in payload["outcomes"]["default"]
-        ]
-
-    with tempfile.TemporaryDirectory() as tmp:
-        jit_dir = str(cache_dir) if cache_dir is not None else tmp
-        start = time.perf_counter()
-        uncached = execute_cell(spec(None))
-        wall_off = time.perf_counter() - start
-
-        _ARTIFACT_CACHES.pop(jit_dir, None)
-        start = time.perf_counter()
-        cold = execute_cell(spec(jit_dir))
-        wall_cold = time.perf_counter() - start
-
-        # Drop the in-memory layer so the warm pass exercises disk hits the
-        # way a fresh sweep worker process would.
-        _ARTIFACT_CACHES.pop(jit_dir, None)
-        start = time.perf_counter()
-        warm = execute_cell(spec(jit_dir))
-        wall_warm = time.perf_counter() - start
-        stats = _ARTIFACT_CACHES[jit_dir].stats()
-        _ARTIFACT_CACHES.pop(jit_dir, None)
-
-    if not (cycles(uncached) == cycles(cold) == cycles(warm)):  # pragma: no cover
-        raise AssertionError(
-            "JIT artifact cache changed virtual-cycle results"
-        )
-    return {
-        "benchmark": bench.name,
-        "runs": runs,
-        "wall_s_cache_off": wall_off,
-        "wall_s_cache_cold": wall_cold,
-        "wall_s_cache_warm": wall_warm,
-        "cache_stats": stats,
-        "identical_cycles": True,
-    }
-
-
-def bench_fuzz(quick: bool = False) -> dict:
-    """Time a short differential fuzz burst (single process)."""
-    from ..testing import run_fuzz
-
-    iterations = 5 if quick else 25
-    start = time.perf_counter()
-    report = run_fuzz(seed=0, iterations=iterations, jobs=1)
-    wall = time.perf_counter() - start
-    return {
-        "iterations": iterations,
-        "wall_s": wall,
-        "iterations_per_s": iterations / wall,
-        "ok": report.ok,
-    }
-
-
 def geomean(values: list[float]) -> float:
+    """Geometric mean of positive *values*: the suite's one aggregate."""
     return math.exp(sum(math.log(v) for v in values) / len(values))
 
 
@@ -285,8 +189,6 @@ def bench_report(quick: bool = False) -> dict:
             "min": min(compiled_speedups),
             "max": max(compiled_speedups),
         },
-        "sweep_cell": bench_sweep_cell(quick=quick),
-        "fuzz": bench_fuzz(quick=quick),
         "learning": bench_learning(quick=quick),
         "serving": bench_serving(quick=quick),
         "datagen": bench_datagen(quick=quick),
@@ -343,23 +245,8 @@ def validate_bench_report(report: dict) -> None:
         need(report["speedup_compiled"], key, (int, float), "speedup_compiled")
         if report["speedup_compiled"][key] <= 0:
             raise ValueError(f"speedup_compiled: {key!r} must be positive")
-    need(report, "sweep_cell", dict, "report")
-    need(report["sweep_cell"], "identical_cycles", bool, "sweep_cell")
-    if report["sweep_cell"]["identical_cycles"] is not True:
-        raise ValueError("sweep_cell: cache must not change results")
-    need(report, "fuzz", dict, "report")
-    need(report["fuzz"], "ok", bool, "fuzz")
     need(report, "learning", dict, "report")
     learning = report["learning"]
-    need(learning, "training", dict, "learning")
-    for key in ("methods", "runs", "training_rows"):
-        need(learning["training"], key, int, "learning.training")
-        if learning["training"][key] <= 0:
-            raise ValueError(f"learning.training: {key!r} must be positive")
-    for key in ("wall_s", "rows_per_s"):
-        need(learning["training"], key, (int, float), "learning.training")
-        if learning["training"][key] <= 0:
-            raise ValueError(f"learning.training: {key!r} must be positive")
     need(learning, "speedup", dict, "learning")
     for key in ("geomean", "min", "max"):
         need(learning["speedup"], key, (int, float), "learning.speedup")
@@ -370,27 +257,26 @@ def validate_bench_report(report: dict) -> None:
         raise ValueError(
             "learning.speedup: engines must produce identical trees"
         )
-    need(learning, "predict", dict, "learning")
-    for key in ("wall_s", "per_call_us"):
-        need(learning["predict"], key, (int, float), "learning.predict")
-        if learning["predict"][key] <= 0:
-            raise ValueError(f"learning.predict: {key!r} must be positive")
-    need(learning["predict"], "trees", int, "learning.predict")
     need(report, "serving", dict, "report")
     serving = report["serving"]
     for key in ("requests", "tenants", "swaps", "sheds", "batches"):
         need(serving, key, int, "serving")
     if serving["requests"] <= 0:
         raise ValueError("serving: 'requests' must be positive")
-    for key in ("wall_s", "serial_wall_s", "rps", "overhead_ratio"):
-        need(serving, key, (int, float), "serving")
-        if serving[key] <= 0:
-            raise ValueError(f"serving: {key!r} must be positive")
-    need(serving, "latency_ms", dict, "serving")
-    for key in ("p50", "p95", "p99", "mean"):
-        need(serving["latency_ms"], key, (int, float), "serving.latency_ms")
-        if serving["latency_ms"][key] < 0:
-            raise ValueError(f"serving.latency_ms: {key!r} must be >= 0")
+    need(serving, "overhead_ratio", (int, float), "serving")
+    if serving["overhead_ratio"] <= 0:
+        raise ValueError("serving: 'overhead_ratio' must be positive")
+    for key in ("cpu_s", "serial_cpu_s"):
+        need(serving, key, list, "serving")
+        if not serving[key] or not all(
+            isinstance(v, (int, float)) and v > 0 for v in serving[key]
+        ):
+            raise ValueError(
+                f"serving: {key!r} must be a non-empty list of positive "
+                "CPU seconds"
+            )
+    if len(serving["cpu_s"]) != len(serving["serial_cpu_s"]):
+        raise ValueError("serving: 'cpu_s' and 'serial_cpu_s' must pair up")
     need(serving, "identical_to_serial", bool, "serving")
     if serving["identical_to_serial"] is not True:
         raise ValueError(
@@ -464,16 +350,6 @@ def validate_bench_report(report: dict) -> None:
         raise ValueError(
             "datagen.fork: forked labels must be bit-identical to naive"
         )
-    need(datagen, "pipeline", dict, "datagen")
-    pipeline = datagen["pipeline"]
-    for key in ("programs", "rows", "shards"):
-        need(pipeline, key, int, "datagen.pipeline")
-        if pipeline[key] <= 0:
-            raise ValueError(f"datagen.pipeline: {key!r} must be positive")
-    for key in ("rows_per_s_generated",):
-        need(pipeline, key, (int, float), "datagen.pipeline")
-        if pipeline[key] <= 0:
-            raise ValueError(f"datagen.pipeline: {key!r} must be positive")
 
 
 def compare_to_baseline(
@@ -486,8 +362,10 @@ def compare_to_baseline(
     reference on the same runner, plus the serving overhead ratio) —
     not absolute instructions/second, which depend on runner hardware.
     The baseline must pass :func:`validate_bench_report`, so every gate
-    runs; an older-schema baseline raises ``ValueError``. Returns a list
-    of human-readable failures (empty when within tolerance).
+    runs; an older-schema baseline raises ``ValueError``, and a report
+    workload row the baseline lacks is a failure (its gate would
+    otherwise drop without notice). Returns a list of human-readable
+    failures (empty when within tolerance).
     """
     validate_bench_report(baseline)
     failures: list[str] = []
@@ -505,6 +383,10 @@ def compare_to_baseline(
     for row in report["workloads"]:
         base = base_rows.get((row["name"], row["level"]))
         if base is None:
+            failures.append(
+                f"{row['name']} (level {row['level']}): no baseline row; "
+                "regenerate the baseline to gate it"
+            )
             continue
         if row["speedup"] < base["speedup"] * floor:
             failures.append(
@@ -527,9 +409,9 @@ def compare_to_baseline(
                 f"{label} regressed: {new:.2f}x vs baseline "
                 f"{old:.2f}x (floor {old * floor:.2f}x)"
             )
-    # Serving gate: concurrent-over-serial wall ratio for the same stream
-    # (lower is better; both sides measured on this runner, so the ratio
-    # is machine-independent).
+    # Serving gate: median concurrent-over-serial CPU-time ratio for the
+    # same stream (lower is better; both sides measured on this runner,
+    # so the ratio is machine-independent).
     base_ratio = baseline["serving"]["overhead_ratio"]
     new_ratio = report["serving"]["overhead_ratio"]
     if new_ratio > base_ratio * (1.0 + max_regression):
@@ -564,18 +446,6 @@ def format_report(report: dict) -> str:
     lines.append(
         f"speedup (compiled): geomean {spc['geomean']:.2f}x, "
         f"min {spc['min']:.2f}x, max {spc['max']:.2f}x"
-    )
-    cell = report["sweep_cell"]
-    lines.append(
-        f"sweep cell ({cell['benchmark']}, {cell['runs']} runs): "
-        f"cache off {cell['wall_s_cache_off']:.2f}s, "
-        f"cold {cell['wall_s_cache_cold']:.2f}s, "
-        f"warm {cell['wall_s_cache_warm']:.2f}s"
-    )
-    fuzz = report["fuzz"]
-    lines.append(
-        f"fuzz: {fuzz['iterations']} iteration(s) in {fuzz['wall_s']:.2f}s "
-        f"({fuzz['iterations_per_s']:.2f}/s)"
     )
     from .forgebench import format_datagen
     from .learnbench import format_learning

@@ -1,10 +1,42 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.__main__ import main
+
+BASELINE = Path(__file__).parent.parent / "benchmarks" / "BENCH_baseline.json"
+
+
+@pytest.fixture(scope="class")
+def bare_bench(tmp_path_factory):
+    """One quick run of the whole bench suite, gated on an inflated baseline.
+
+    The run writes its report, then the gate trips on a copy of the
+    checked-in baseline with one gated ratio inflated past anything a
+    runner can reach. Both bare-bench tests read this one run.
+    """
+    tmp = tmp_path_factory.mktemp("bare_bench")
+    baseline = json.loads(BASELINE.read_text())
+    baseline["speedup"]["geomean"] *= 100
+    inflated = tmp / "baseline.json"
+    inflated.write_text(json.dumps(baseline))
+    out = tmp / "BENCH_vm.json"
+    argv = ["bench", "--quick", "--out", str(out), "--baseline", str(inflated)]
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        status = main(argv)
+    return SimpleNamespace(
+        status=status,
+        out=stdout.getvalue(),
+        err=stderr.getvalue(),
+        report_path=out,
+    )
 
 
 class TestCLI:
@@ -14,43 +46,21 @@ class TestCLI:
         for name in ("Mtrt", "Compress", "RayTracer", "Search"):
             assert name in out
 
-    def test_bare_bench_runs_vm_suite(self, capsys, tmp_path):
-        # Bare `repro bench` is the fast-engine wall-clock suite; point the
-        # timings at tiny trip counts via quick mode and a tmp report path.
-        out = tmp_path / "BENCH_vm.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        captured = capsys.readouterr().out
-        assert "speedup" in captured
-        report = json.loads(out.read_text())
+    def test_bare_bench_runs_vm_suite(self, bare_bench):
+        # Bare `repro bench` is the fast-engine wall-clock suite in quick
+        # mode; it prints the speedups and writes the report.
+        assert "speedup" in bare_bench.out
+        assert f"report -> {bare_bench.report_path}" in bare_bench.out
+        report = json.loads(bare_bench.report_path.read_text())
         assert report["quick"] is True
         assert report["speedup"]["geomean"] > 1.0
+        assert all(row["speedup"] > 0 for row in report["workloads"])
+        assert all(row["speedup_compiled"] > 0 for row in report["workloads"])
 
-    def test_bare_bench_regression_gate(self, capsys, tmp_path):
+    def test_bare_bench_regression_gate(self, bare_bench):
         # A baseline demanding an impossible speedup must trip the gate.
-        out = tmp_path / "BENCH_vm.json"
-        assert main(["bench", "--quick", "--out", str(out)]) == 0
-        report = json.loads(out.read_text())
-        inflated = json.loads(out.read_text())
-        inflated["speedup"]["geomean"] = report["speedup"]["geomean"] * 100
-        for row in inflated["workloads"]:
-            row["speedup"] *= 100
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps(inflated))
-        capsys.readouterr()
-        assert (
-            main(
-                [
-                    "bench",
-                    "--quick",
-                    "--out",
-                    str(out),
-                    "--baseline",
-                    str(baseline),
-                ]
-            )
-            == 1
-        )
-        assert "REGRESSION" in capsys.readouterr().err
+        assert bare_bench.status == 1
+        assert "REGRESSION: geomean speedup regressed" in bare_bench.err
 
     def test_bench_runs_scenarios(self, capsys):
         assert main(["bench", "Search", "4", "--seed", "3"]) == 0
