@@ -4,12 +4,13 @@ The forge (:mod:`repro.learning.forge`) is the repository's bulk
 producer of training rows: generated programs are labeled once per
 input by the forked-run labeler and streamed into shards that train the
 cross-program prior. This module times the labeler
-(:func:`~repro.learning.forge.labeler.label_forked`) against the
-independent-runs baseline
-(:func:`~repro.learning.forge.labeler.label_naive`) over a seeded
-program sample, asserting the labels are bit-identical
-(:func:`~repro.learning.forge.labeler.labels_equal`) — the same
-machine-independent speedup-ratio shape as the engine gates. End-to-end
+(:func:`~repro.learning.forge.labeler.label_forked`, on the fast engine)
+against the independent-runs baseline
+(:func:`~repro.learning.forge.labeler.label_naive`, on the reference
+loop) over a seeded program sample, asserting the labels are
+bit-identical (:func:`~repro.learning.forge.labeler.labels_equal`) — the
+same machine-independent speedup-ratio shape as the engine gates. The
+ratio therefore measures the forking and the engine together. End-to-end
 forge throughput is perfbench's ``forge-label`` workload.
 
 Results land in the ``datagen`` section of ``BENCH_vm.json``; CI's

@@ -10,21 +10,21 @@ program once per (method, level) pair: ``3·M + 1`` full runs per input.
 :func:`label_forked` produces bit-identical labels from one instrumented
 parent run plus cheap partial work, using three mechanisms:
 
-1. **Fork snapshots.** The parent runs all-baseline on the reference
-   engine with the interpreter's fork hook armed: at each method's first
+1. **Fork snapshots.** The parent runs all-baseline on the fast engine
+   with the interpreter's fork hook armed: at each method's first
    invocation — before any of its compile cycles are charged — the
    resumable VM state (frames with the CALL rewound, clock, sampler,
    profile, heap/rng, method states) is captured. A child for (m, L)
    restores the snapshot, forces *m* to L via the first-invocation hook,
-   and resumes: it re-executes only the run's *suffix*, yet its profile is
-   bit-identical to a naive forced run because the prefix it inherited is
-   bit-identical by construction.
+   and resumes on the fast engine: it re-executes only the run's
+   *suffix*, yet its profile is bit-identical to a naive forced run
+   because the prefix it inherited is bit-identical by construction.
 
 2. **Shadow accounts.** When a tier's pass pipeline leaves *m*'s code
    unchanged (level 0 runs no passes, so always; higher tiers
    occasionally), a forced run differs from the parent only in the speed
-   factor scaling *m*'s per-instruction costs. The parent maintains
-   :class:`~repro.vm.interpreter.ShadowAccount` chains that replay the
+   factor scaling *m*'s per-instruction costs. The parent charges
+   :class:`~repro.vm.fastpath.ShadowAccount` chains that replay the
    exact cost expressions at the shadow speed, so those (m, L) labels cost
    *zero* extra execution.
 
@@ -35,10 +35,14 @@ parent run plus cheap partial work, using three mechanisms:
    per run — and amortizes further across inputs of the same program when
    the caller passes one ``jit`` to several :func:`label_forked` calls.
 
-The differential gate (``tests/test_forge_labeler.py``) asserts the two
-labelers agree bit-for-bit on labels, per-level virtual cycles, baseline
-profiles, and heap effects over a seeded corpus, including fuel-exhaustion
-and fault edges.
+Parents and children run on the fast engine (``engine="fast"``), which
+carries the fork plumbing and decodes each artifact once per shared
+``jit``: forge runs are short, too short to pay for building closures.
+:func:`label_naive` stays on the reference loop, the executable
+specification, so the differential gate (``tests/test_forge.py``) is a
+cross-engine check: the two labelers must agree bit-for-bit on labels,
+per-level virtual cycles, baseline profiles, and heap effects over a
+seeded corpus, including fuel-exhaustion and fault edges.
 """
 
 from __future__ import annotations
@@ -50,7 +54,8 @@ from random import Random
 from ...vm.config import BASELINE_LEVEL, OPT_LEVELS, VMConfig
 from ...vm.errors import VMError
 from ...vm.heap import Heap, HeapStats
-from ...vm.interpreter import Interpreter, ShadowAccount, _Frame, _MethodState
+from ...vm.fastpath import FastFrame, ShadowAccount
+from ...vm.interpreter import Interpreter, _MethodState
 from ...vm.intrinsics import IntrinsicContext
 from ...vm.opt.jit import JITCompiler
 from ...vm.profiles import RunProfile
@@ -126,6 +131,7 @@ def _forced_interp(
     config: VMConfig,
     rng_seed: int,
     jit: JITCompiler | None,
+    engine: str,
     method: str | None = None,
     level: int | None = None,
 ) -> Interpreter:
@@ -141,7 +147,7 @@ def _forced_interp(
         rng_seed=rng_seed,
         jit=jit,
         first_invocation_hook=hook,
-        engine="reference",
+        engine=engine,
     )
 
 
@@ -181,10 +187,13 @@ def label_naive(
     """Label by re-running the whole program once per (method, level).
 
     ``3·M + 1`` full executions per input, each with a fresh
-    :class:`JITCompiler` (the independent-runs baseline the forked labeler
-    is differentially checked against and benchmarked over).
+    :class:`JITCompiler`, on the reference loop (the independent-runs
+    baseline the forked labeler is differentially checked against and
+    benchmarked over).
     """
-    base = _forced_interp(program, config, rng_seed, JITCompiler(program, config))
+    base = _forced_interp(
+        program, config, rng_seed, JITCompiler(program, config), "reference"
+    )
     fault = None
     result = None
     try:
@@ -206,7 +215,7 @@ def label_naive(
         for level in levels:
             child = _forced_interp(
                 program, config, rng_seed, JITCompiler(program, config),
-                method, level,
+                "reference", method, level,
             )
             child_fault = None
             try:
@@ -242,8 +251,7 @@ class _Snapshot:
     flat dicts, float scalars, an RNG state tuple, and heap counters —
     generic ``copy.deepcopy`` spends more time traversing the Mersenne
     state than the labeler spends executing small children. Only frame
-    locals/stacks need a real deepcopy (MiniLang arrays are Python lists,
-    possibly aliased across frames, so one shared memo preserves aliasing).
+    locals/stacks need a real deepcopy (see :func:`_copy_frames`).
     """
 
     __slots__ = (
@@ -287,26 +295,35 @@ def _copy_profile(profile: RunProfile) -> RunProfile:
     )
 
 
+def _copy_frames(frames: list[FastFrame]) -> list[FastFrame]:
+    """Copies of *frames* whose locals and stacks are deep-copied through
+    one shared memo: MiniLang arrays are Python lists, possibly aliased
+    between activation records, and stay aliased in the copy. The
+    decoded streams are immutable and shared."""
+    memo: dict = {}
+    copies = []
+    for frame in frames:
+        clone = FastFrame.__new__(FastFrame)
+        clone.fops = frame.fops
+        clone.fargs = frame.fargs
+        clone.pops = frame.pops
+        clone.pargs = frame.pargs
+        clone.pc = frame.pc
+        clone.locals = copy.deepcopy(frame.locals, memo)
+        clone.stack = copy.deepcopy(frame.stack, memo)
+        clone.name = frame.name
+        clone.speed = frame.speed
+        copies.append(clone)
+    return copies
+
+
 def _capture(interp: Interpreter) -> _Snapshot:
     snap = _Snapshot()
     snap.states = {
         name: (state.compiled, state.invocations)
         for name, state in interp._states.items()
     }
-    # One shared memo across all frames' locals and stacks so array values
-    # aliased between activation records stay aliased in the copy.
-    frame_memo: dict = {}
-    snap.frames = [
-        (
-            frame.code,
-            frame.pc,
-            copy.deepcopy(frame.locals, frame_memo),
-            copy.deepcopy(frame.stack, frame_memo),
-            frame.name,
-            frame.speed,
-        )
-        for frame in interp._frames
-    ]
+    snap.frames = _copy_frames(interp._frames)
     snap.profile = _copy_profile(interp.profile)
     sampler = interp.sampler
     snap.sampler_counts = dict(sampler.counts)
@@ -355,7 +372,7 @@ def _spawn_child(
     same compiled code: the accounts replay the child's per-instruction
     cost chain for *method* at the sibling levels' speed factors.
     """
-    interp = _forced_interp(program, config, rng_seed, jit, method, level)
+    interp = _forced_interp(program, config, rng_seed, jit, "fast", method, level)
     if shadow_accounts:
         interp._shadow = {method: shadow_accounts}
     fault = None
@@ -400,18 +417,7 @@ def _spawn_child(
         state.invocations = invocations
         states[name] = state
     interp._states = states
-    frame_memo: dict = {}
-    frames: list[_Frame] = []
-    for code, pc, locals_, stack, name, speed in snap.frames:
-        frame = _Frame.__new__(_Frame)
-        frame.code = code
-        frame.pc = pc
-        frame.locals = copy.deepcopy(locals_, frame_memo)
-        frame.stack = copy.deepcopy(stack, frame_memo)
-        frame.name = name
-        frame.speed = speed
-        frames.append(frame)
-    interp._frames = frames
+    interp._frames = _copy_frames(snap.frames)
     interp._recompile_queue = list(snap.queue)
     if stop_target > 0:
         interp._stop_plan = (method, stop_target)
@@ -495,9 +501,7 @@ def label_forked(
             # state; shadow-covered levels never execute a child.
             snapshots[name] = _capture(interp)
 
-    parent = Interpreter(
-        program, config=config, rng_seed=rng_seed, jit=jit, engine="reference"
-    )
+    parent = _forced_interp(program, config, rng_seed, jit, "fast")
     parent._fork_hook = fork_hook
     parent._shadow = shadow
     outer_entries: dict[str, int] = {}

@@ -44,14 +44,72 @@ iteration. Three mechanisms carry the speedup:
    which is exact unconditionally. Fuel exhaustion stays exact through a
    soft limit: within ``FUEL_MARGIN`` instructions of the budget the loop
    drops to the unfused stream, so the reference's per-instruction fuel
-   check decides the final instructions.
+   check decides the final instructions. A resumed run counts on from
+   ``Interpreter._resume_executed``, and one that starts inside the
+   margin starts unfused.
+
+The engine also carries the forge's forked-run plumbing
+(:mod:`repro.learning.forge.labeler`), all dormant unless the labeler
+arms it on the interpreter: the fork hook's pc rewind and account flush
+at a method's first CALL, outer-entry counting, a child's stop plan
+(:class:`ForkStop`), and :class:`ShadowAccount` charging. None of it
+adds work to the fused arms or the standalone epilogue. A frame with
+shadow accounts runs the unfused stream with its ``interval_tick``
+forced to −1, so the epilogue's existing tick test sends each of its
+instructions into the tick branch, which charges the accounts and takes
+a sample only when the clock has crossed the sampler's real tick. Every
+other forge check sits at CALL and RET.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING, Callable
+
 from .errors import ExecutionError, FuelExhaustedError, StackOverflowError
 from .instructions import BASE_COST, Op
 from .intrinsics import lookup as lookup_intrinsic
+
+if TYPE_CHECKING:
+    from .interpreter import Interpreter
+
+#: Forge-internal hook fired when a method is about to be baseline-compiled
+#: for the first time, *before* any compile cycles are charged. The forked-run
+#: labeler uses it to capture a resumable state snapshot at the exact point
+#: where a per-method recompilation decision would take effect: ``run_fast``
+#: rewinds the calling frame onto the CALL and flushes its accounts first,
+#: so the hook sees a state a child can resume. Fast engine only.
+ForkHook = Callable[[str, "Interpreter"], None]
+
+
+class ForkStop(Exception):
+    """Internal control flow: a forked child reached its stop point.
+
+    Raised by ``run_fast`` when the interpreter's ``_stop_plan`` target is
+    met (the forced method's last outer exit — its cycle account is final
+    there). Deliberately *not* a :class:`VMError`: the forge must never
+    mistake an early stop for a program fault.
+    """
+
+
+class ShadowAccount:
+    """One speculative cycle account: "method *m* as if compiled at level *L*".
+
+    Charged by ``run_fast`` alongside the real accounting, on every
+    instruction of *m*'s frames. When a tier's optimization pipeline leaves
+    a method's code unchanged (level 0 always; higher tiers occasionally),
+    the only difference between the real run and a run with *m* forced to
+    *L* is the speed factor applied to each of *m*'s instructions — so the
+    forced run's ``method_cycles[m]`` can be reproduced bit-for-bit by
+    replaying the same per-instruction cost expressions at the shadow
+    speed, without executing a second run.
+    """
+
+    __slots__ = ("level", "speed", "cycles")
+
+    def __init__(self, level: int, speed: float):
+        self.level = level
+        self.speed = speed
+        self.cycles = 0.0
 
 # -- handler indices ----------------------------------------------------------
 # Standalone handlers reuse the int opcode (0..29). Fused handlers extend the
@@ -212,8 +270,10 @@ def run_fast(interp):
     """Execute *interp*'s frame stack to completion on the fast engine.
 
     Drop-in replacement for ``Interpreter._loop`` — same entry contract
-    (one frame pushed, clocks live on the interpreter) and bit-identical
-    observable behavior; see the module docstring for the argument.
+    (frames pushed, clocks live on the interpreter, the instruction count
+    starts at ``_resume_executed``) and bit-identical observable behavior;
+    see the module docstring for the argument. Raises :class:`ForkStop`
+    when a forked child's stop plan is met.
     """
     config = interp.config
     sampler = interp.sampler
@@ -226,7 +286,29 @@ def run_fast(interp):
     max_depth = config.max_call_depth
     fuel = config.max_instructions
     clock = interp.clock
-    executed = 0
+    executed = interp._resume_executed
+
+    # Forge plumbing: dormant (False / None) outside forked-run labeling.
+    fork_armed = interp._fork_hook is not None
+    shadow = interp._shadow
+    # Parent-side: per-method *outer* entry counts (entries with no frame
+    # of the same method already live) — the invariant a child's stop
+    # plan is phrased in, because inlining and tail-call elimination
+    # change inner entry counts but never outer ones.
+    outer_entries = interp._outer_entries
+    live_counts: dict[str, int] = {}
+    # Child-side: raise ForkStop once the forced method's last outer exit
+    # has been accounted.
+    stop_method, stop_remaining = interp._stop_plan or (None, 0)
+    stop_live = 0
+    forge = (
+        shadow is not None or outer_entries is not None
+        or stop_method is not None
+    )
+    accounts = None
+    # The GC amount an INTRIN folded into `work`, and the work it was
+    # folded into: shadow accounts replay the fold at their own speeds.
+    gc_part = wpre = 0.0
 
     # Base costs, bound once (BASE_COST is a flat list indexed by opcode).
     base_cost = BASE_COST
@@ -246,7 +328,10 @@ def run_fast(interp):
     # frame's speed factor mid-segment via a recompile).
     fused_on = not sampler.has_listeners
     fuel_soft = fuel - FUEL_MARGIN
-    if fuel_soft <= 0:
+    if executed >= fuel_soft:
+        # Inside the margin from the first instruction (a tiny budget, or
+        # a resumed run that starts near it): a fused unit could straddle
+        # the budget, so run unfused throughout.
         fused_on = False
         fuel_soft = fuel
 
@@ -262,6 +347,17 @@ def run_fast(interp):
     name = frame.name
     mcycles = method_cycles.get(name, 0.0)
     mwork = method_work.get(name, 0.0)
+    if outer_entries is not None:
+        # The parent is a fresh run: its entry frame is the one outer
+        # entry so far.
+        live_counts[name] = 1
+        outer_entries[name] = 1
+    if shadow is not None:
+        accounts = shadow.get(name)
+        if accounts is not None:
+            ops = frame.pops
+            argv = frame.pargs
+            interval_tick = -1.0
 
     while True:
         op = ops[pc]
@@ -551,6 +647,15 @@ def run_fast(interp):
                         f"call depth exceeded {max_depth}", method=name, pc=pc - 1
                     )
                 interp.clock = clock
+                if fork_armed and callee_name not in interp._states:
+                    # Make the instantaneous state resumable before the
+                    # fork hook (inside _ensure_state) snapshots it: rewind
+                    # pc onto this CALL so a restored run re-executes it,
+                    # and flush the loop-local accounts the snapshot sees.
+                    frame.pc = pc - 1
+                    method_cycles[name] = mcycles
+                    method_work[name] = mwork
+                    interp._resume_executed = executed - 1
                 callee_state = interp._ensure_state(callee_name)
                 if recompile_queue:
                     interp._apply_recompiles()
@@ -577,6 +682,22 @@ def run_fast(interp):
                 mcycles = method_cycles.get(name, 0.0)
                 mwork = method_work.get(name, 0.0)
                 work = w_call
+                if forge:
+                    if outer_entries is not None:
+                        live = live_counts.get(name, 0)
+                        live_counts[name] = live + 1
+                        if live == 0:
+                            outer_entries[name] = outer_entries.get(name, 0) + 1
+                    elif name == stop_method:
+                        stop_live += 1
+                    if shadow is not None:
+                        # The CALL itself is charged to the callee, as in
+                        # the reference loop.
+                        accounts = shadow.get(name)
+                        if accounts is not None:
+                            ops = frame.pops
+                            argv = frame.pargs
+                            interval_tick = -1.0
             elif op == 23:  # RET
                 result = stack.pop()
                 cost = w_ret * speed
@@ -584,6 +705,24 @@ def run_fast(interp):
                 method_work[name] = mwork + w_ret
                 clock += cost
                 frames.pop()
+                if forge:
+                    if accounts is not None:
+                        for acc in accounts:
+                            acc.cycles += w_ret * acc.speed
+                        interval_tick = sampler._next_tick
+                    if outer_entries is not None:
+                        live_counts[name] -= 1
+                    elif name == stop_method:
+                        stop_live -= 1
+                        if stop_live == 0:
+                            stop_remaining -= 1
+                            if stop_remaining == 0:
+                                # The forced method's account is final (its
+                                # cycles were flushed just above); nothing the
+                                # rest of the run does can change its label.
+                                interp.clock = clock
+                                interp.profile.instructions_executed = executed
+                                raise ForkStop
                 if not frames:
                     interp.clock = clock
                     interp.profile.instructions_executed = executed
@@ -615,6 +754,12 @@ def run_fast(interp):
                         speed = frame.speed
                         s2 = 2 * speed
                         s3 = 3 * speed
+                if shadow is not None:
+                    accounts = shadow.get(name)
+                    if accounts is not None:
+                        ops = frame.pops
+                        argv = frame.pargs
+                        interval_tick = -1.0
                 continue
             elif op == 28:  # INTRIN
                 intr_name, argc = argv[pc - 1]
@@ -630,6 +775,9 @@ def run_fast(interp):
                 if intrinsic_ctx.gc_cycles:
                     # GC work is charged unscaled: fold it into `work`
                     # pre-divided so the bottom-of-loop scaling cancels.
+                    if accounts is not None:
+                        gc_part = intrinsic_ctx.gc_cycles
+                        wpre = work
                     work += intrinsic_ctx.gc_cycles / speed
                     intrinsic_ctx.gc_cycles = 0.0
             elif op == 25:  # ALOAD
@@ -700,21 +848,37 @@ def run_fast(interp):
 
         # ---- shared epilogue: sampler tick + fuel ------------------------
         if clock >= interval_tick:
-            method_cycles[name] = mcycles
-            method_work[name] = mwork
-            sampler.advance(clock, name)
-            interval_tick = sampler.next_tick
-            if recompile_queue:
-                frame.pc = pc
-                interp.clock = clock
-                interp._apply_recompiles()
-                clock = interp.clock
+            if accounts is not None:
+                # A frame with shadow accounts runs unfused with its
+                # interval_tick at -1, so each of its instructions lands
+                # here: replay the instruction's cost at every account's
+                # speed, then sample only past the sampler's real tick.
+                if gc_part:
+                    for acc in accounts:
+                        acc_speed = acc.speed
+                        acc.cycles += (wpre + gc_part / acc_speed) * acc_speed
+                    gc_part = 0.0
+                else:
+                    for acc in accounts:
+                        acc.cycles += work * acc.speed
+            if clock >= sampler._next_tick:
+                method_cycles[name] = mcycles
+                method_work[name] = mwork
+                sampler.advance(clock, name)
                 interval_tick = sampler.next_tick
-                speed = frame.speed
-                s2 = 2 * speed
-                s3 = 3 * speed
-            mcycles = method_cycles.get(name, 0.0)
-            mwork = method_work.get(name, 0.0)
+                if recompile_queue:
+                    frame.pc = pc
+                    interp.clock = clock
+                    interp._apply_recompiles()
+                    clock = interp.clock
+                    interval_tick = sampler.next_tick
+                    speed = frame.speed
+                    s2 = 2 * speed
+                    s3 = 3 * speed
+                mcycles = method_cycles.get(name, 0.0)
+                mwork = method_work.get(name, 0.0)
+                if accounts is not None:
+                    interval_tick = -1.0
         if executed >= fuel_soft:
             if fused_on:
                 # Within FUEL_MARGIN of the budget: finish on the unfused

@@ -20,7 +20,8 @@ from typing import Callable
 
 from .closures import _Deopt, resolve_compiled, run_compiled
 from .config import BASELINE_LEVEL, DEFAULT_CONFIG, VMConfig
-from .fastpath import FastFrame, run_fast
+from . import fastpath
+from .fastpath import FastFrame, ForkHook, ForkStop, ShadowAccount, run_fast
 from .errors import (
     ExecutionError,
     FuelExhaustedError,
@@ -70,42 +71,9 @@ class _Frame:
 #: evolvable VM uses to apply a predicted strategy proactively.
 FirstInvocationHook = Callable[[str], int | None]
 
-#: Forge-internal hook fired when a method is about to be baseline-compiled
-#: for the first time, *before* any compile cycles are charged. The forked-run
-#: labeler uses it to capture a resumable state snapshot at the exact point
-#: where a per-method recompilation decision would take effect. Reference
-#: engine only.
-ForkHook = Callable[[str, "Interpreter"], None]
-
-
-class ForkStop(Exception):
-    """Internal control flow: a forked child reached its stop point.
-
-    Raised by the reference loop when a ``_stop_plan`` target is met (the
-    forced method's last outer exit — its cycle account is final there).
-    Deliberately *not* a :class:`VMError`: the forge must never mistake an
-    early stop for a program fault.
-    """
-
-
-class ShadowAccount:
-    """One speculative cycle account: "method *m* as if compiled at level *L*".
-
-    Maintained by the reference loop alongside the real accounting. When a
-    tier's optimization pipeline leaves a method's code unchanged (level 0
-    always; higher tiers occasionally), the only difference between the real
-    run and a run with *m* forced to *L* is the speed factor applied to each
-    of *m*'s instructions — so the forced run's ``method_cycles[m]`` can be
-    reproduced bit-for-bit by replaying the same per-instruction cost
-    expressions at the shadow speed, without executing a second run.
-    """
-
-    __slots__ = ("level", "speed", "cycles")
-
-    def __init__(self, level: int, speed: float):
-        self.level = level
-        self.speed = speed
-        self.cycles = 0.0
+#: Host exceptions a faulting program raises inside a loop; run() and
+#: resume() report them as :class:`ExecutionError` runtime faults.
+_HOST_FAULTS = (TypeError, ValueError, IndexError, ZeroDivisionError, KeyError)
 
 
 class Interpreter:
@@ -147,24 +115,18 @@ class Interpreter:
         self._recompile_queue: list[tuple[str, int]] = []
         self._first_invocation_hook = first_invocation_hook
         self._finished = False
-        # Instructions executed before the reference loop takes over a run
-        # midway: a forge child resumed from a fork snapshot, or a compiled
-        # run that deoptimized.
+        # Instructions executed before a loop takes over a run midway: a
+        # forge child resumed from a fork snapshot (fast engine), or a
+        # compiled run that deoptimized (reference loop).
         self._resume_executed = 0
-        # Forge plumbing (repro.learning.forge): all default-off, and dormant
-        # unless the forked-run labeler arms them on a reference-engine run.
+        # Forge plumbing (repro.learning.forge), read only by the fast
+        # engine (repro.vm.fastpath.run_fast): all default-off, and dormant
+        # unless the forked-run labeler arms it on an engine="fast" run.
         self._fork_hook: ForkHook | None = None
         self._shadow: dict[str, list[ShadowAccount]] | None = None
-        self._shadow_gc = 0.0
-        self._shadow_wpre = 0.0
-        # Parent-side: per-method *outer* entry counts (entries with no
-        # frame of the same method already live) — the invariant a forked
-        # child's stop plan is phrased in, because inlining and tail-call
-        # elimination change inner entry counts but never outer ones.
+        # Parent-side: filled with per-method outer entry counts.
         self._outer_entries: dict[str, int] | None = None
-        self._live_counts: dict[str, int] = {}
-        # Child-side: (method, outer_exits_remaining) — raise ForkStop once
-        # the method's last outer exit has been accounted.
+        # Child-side: (method, outer_exits_remaining).
         self._stop_plan: tuple[str, int] | None = None
 
     # -- public control surface (used by AOS controllers) -----------------
@@ -258,9 +220,6 @@ class Interpreter:
             )
         self._apply_recompiles()
         state.invocations += 1
-        if self._outer_entries is not None:
-            self._live_counts[entry_name] = 1
-            self._outer_entries[entry_name] = 1
         # Engine ladder: "auto" and "compiled" start on the compiled tier,
         # listeners or not, and route a run to the fast engine only when
         # its entry has no closure or its depth limit is beyond the tier;
@@ -284,15 +243,8 @@ class Interpreter:
                 frame_cls = FastFrame if use_fast else _Frame
                 self._frames.append(frame_cls(state.compiled, list(args)))
                 result = run_fast(self) if use_fast else self._loop()
-        except ExecutionError:
-            raise
-        except (TypeError, ValueError, IndexError, ZeroDivisionError, KeyError) as exc:
-            frame = self._frames[-1] if self._frames else None
-            raise ExecutionError(
-                f"runtime fault: {exc}",
-                method=frame.name if frame else None,
-                pc=frame.pc - 1 if frame else None,
-            ) from exc
+        except _HOST_FAULTS as exc:
+            raise self._runtime_fault(exc) from exc
         self._finished = True
         self._finalize(result)
         return self.profile
@@ -302,38 +254,42 @@ class Interpreter:
 
         Forge-internal (see :mod:`repro.learning.forge.labeler`): the caller
         has rebuilt ``clock``/``profile``/``sampler``/``intrinsic_ctx``/
-        frames/method states from a snapshot captured by the fork hook, with
-        the top frame's ``pc`` rewound onto the CALL instruction that
-        triggered the snapshot and ``_resume_executed`` holding the
-        instruction count up to (excluding) that CALL. Reference engine only.
+        :class:`~repro.vm.fastpath.FastFrame` frames/method states from a
+        snapshot captured by the fork hook, with the top frame's ``pc``
+        rewound onto the CALL instruction that triggered the snapshot and
+        ``_resume_executed`` holding the instruction count up to (excluding)
+        that CALL. Fast engine only: the forge's plumbing lives there.
         """
         if self._finished:
             raise ExecutionError("Interpreter instances are single-use")
-        if self.engine != "reference":
-            raise ExecutionError("resume() requires engine='reference'")
+        if self.engine != "fast":
+            raise ExecutionError("resume() requires engine='fast'")
         if not self._frames:
             raise ExecutionError("resume() needs a restored frame stack")
         try:
-            result = self._loop()
+            # Through its module, not the run_fast name run() calls: a
+            # tracer that counts runs by wrapping this module's run_fast
+            # must not count a resume, which continues a run.
+            result = fastpath.run_fast(self)
         except ForkStop:
             # Early stop: the forced method's accounting is complete. The
             # profile is partial past that method (by design: forge labels
             # read only the forced method's accounts).
-            self._finished = True
-            self._finalize(None)
-            return self.profile
-        except ExecutionError:
-            raise
-        except (TypeError, ValueError, IndexError, ZeroDivisionError, KeyError) as exc:
-            frame = self._frames[-1] if self._frames else None
-            raise ExecutionError(
-                f"runtime fault: {exc}",
-                method=frame.name if frame else None,
-                pc=frame.pc - 1 if frame else None,
-            ) from exc
+            result = None
+        except _HOST_FAULTS as exc:
+            raise self._runtime_fault(exc) from exc
         self._finished = True
         self._finalize(result)
         return self.profile
+
+    def _runtime_fault(self, exc: Exception) -> ExecutionError:
+        """The VM fault a host exception raised mid-run stands for."""
+        frame = self._frames[-1] if self._frames else None
+        return ExecutionError(
+            f"runtime fault: {exc}",
+            method=frame.name if frame else None,
+            pc=frame.pc - 1 if frame else None,
+        )
 
     def _restore_deopt(self, deopt: _Deopt) -> None:
         """Rebuild a deoptimized compiled run's frames for the reference
@@ -383,18 +339,8 @@ class Interpreter:
         max_depth = config.max_call_depth
         fuel = config.max_instructions
         clock = self.clock
-        # Both default to the dormant value (0 / None / False) outside forge
-        # runs; `executed` starts mid-count when resuming a fork snapshot.
+        # Starts mid-count when continuing a deoptimized compiled run.
         executed = self._resume_executed
-        shadow = self._shadow
-        fork_armed = self._fork_hook is not None
-        outer_track = self._outer_entries
-        live_counts = self._live_counts
-        if self._stop_plan is not None:
-            stop_method, stop_remaining = self._stop_plan
-        else:
-            stop_method, stop_remaining = None, 0
-        stop_live = 0
 
         frame = frames[-1]
         code = frame.code
@@ -405,9 +351,6 @@ class Interpreter:
         name = frame.name
         mcycles = method_cycles.get(name, 0.0)
         mwork = method_work.get(name, 0.0)
-        # Hoisted per-frame: shadow accounts change only at frame switches,
-        # exactly like the mcycles/mwork locals.
-        cur_accounts = None if shadow is None else shadow.get(name)
 
         while True:
             ins = code[pc]
@@ -486,25 +429,7 @@ class Interpreter:
                     )
                 # Save caller state, switch to callee.
                 self.clock = clock
-                if fork_armed and callee_name not in self._states:
-                    # Make the instantaneous state resumable before the fork
-                    # hook (inside _ensure_state) snapshots it: rewind pc
-                    # onto this CALL so a restored run re-executes it, and
-                    # flush the loop-local accounts the snapshot must see.
-                    frame.pc = pc - 1
-                    method_cycles[name] = mcycles
-                    method_work[name] = mwork
-                    self._resume_executed = executed - 1
                 callee_state = self._ensure_state(callee_name)
-                if outer_track is not None:
-                    live = live_counts.get(callee_name, 0)
-                    live_counts[callee_name] = live + 1
-                    if live == 0:
-                        outer_track[callee_name] = (
-                            outer_track.get(callee_name, 0) + 1
-                        )
-                elif stop_method is not None and callee_name == stop_method:
-                    stop_live += 1
                 if self._recompile_queue:
                     self._apply_recompiles()
                 clock = self.clock
@@ -526,30 +451,13 @@ class Interpreter:
                 name = frame.name
                 mcycles = method_cycles.get(name, 0.0)
                 mwork = method_work.get(name, 0.0)
-                cur_accounts = None if shadow is None else shadow.get(name)
             elif op == Op.RET:
                 result = stack.pop()
                 cost = work * speed
                 method_cycles[name] = mcycles + cost
                 method_work[name] = mwork + work
-                if cur_accounts is not None:
-                    for acc in cur_accounts:
-                        acc.cycles += work * acc.speed
                 clock += cost
                 frames.pop()
-                if outer_track is not None:
-                    live_counts[name] -= 1
-                elif stop_method is not None and name == stop_method:
-                    stop_live -= 1
-                    if stop_live == 0:
-                        stop_remaining -= 1
-                        if stop_remaining == 0:
-                            # The forced method's account is final (its
-                            # cycles were flushed just above); nothing the
-                            # rest of the run does can change its label.
-                            self.clock = clock
-                            self.profile.instructions_executed = executed
-                            raise ForkStop
                 if not frames:
                     self.clock = clock
                     self.profile.instructions_executed = executed
@@ -566,7 +474,6 @@ class Interpreter:
                 name = frame.name
                 mcycles = method_cycles.get(name, 0.0)
                 mwork = method_work.get(name, 0.0)
-                cur_accounts = None if shadow is None else shadow.get(name)
                 if clock >= interval_tick:
                     sampler.advance(clock, name)
                     interval_tick = sampler.next_tick
@@ -611,12 +518,6 @@ class Interpreter:
                 if intrinsic_ctx.gc_cycles:
                     # GC work is charged unscaled: fold it into `work`
                     # pre-divided so the bottom-of-loop scaling cancels.
-                    if shadow is not None:
-                        # Shadow accounts must replay the same pre-divided
-                        # expression at their own speed, so capture the GC
-                        # amount and the work value it was folded into.
-                        self._shadow_gc = intrinsic_ctx.gc_cycles
-                        self._shadow_wpre = work
                     work += intrinsic_ctx.gc_cycles / speed
                     intrinsic_ctx.gc_cycles = 0.0
             elif op == Op.NOP:
@@ -628,20 +529,6 @@ class Interpreter:
             clock += cost
             mcycles += cost
             mwork += work
-            if shadow is not None:
-                if cur_accounts is not None:
-                    gc_part = self._shadow_gc
-                    if gc_part:
-                        self._shadow_gc = 0.0
-                        wpre = self._shadow_wpre
-                        for acc in cur_accounts:
-                            acc_speed = acc.speed
-                            acc.cycles += (wpre + gc_part / acc_speed) * acc_speed
-                    else:
-                        for acc in cur_accounts:
-                            acc.cycles += work * acc.speed
-                elif self._shadow_gc:
-                    self._shadow_gc = 0.0
             if clock >= interval_tick:
                 method_cycles[name] = mcycles
                 method_work[name] = mwork

@@ -23,7 +23,7 @@ from repro.testing import (
     generate,
     run_differential,
 )
-from repro.vm import Interpreter, Op, VMConfig, interpreter
+from repro.vm import FuelExhaustedError, Interpreter, Op, VMConfig, interpreter
 from repro.vm.fastpath import (
     F_CMP_JZ,
     F_DUP_ADD,
@@ -32,6 +32,7 @@ from repro.vm.fastpath import (
     F_LL,
     F_LL_CMP_JZ,
     FUSED_BASE,
+    FastFrame,
     decode,
     ensure_decoded,
 )
@@ -148,6 +149,49 @@ def test_fuel_exhaustion_timing_identical(fuel):
     program = compile_source(HOT_SRC)
     config = VMConfig(max_instructions=fuel)
     assert_engines_agree(program, (600,), config=config)
+
+
+GUARD_LOOP_SRC = """
+fn main(n) {
+  var i = 0;
+  var total = 0;
+  while (i < n) {
+    total = total + i;
+    i = i + 1;
+  }
+  return total;
+}
+"""
+
+#: pc of GUARD_LOOP_SRC's loop guard, a fused LOAD;LOAD;cmp;JZ window.
+GUARD_PC = 4
+
+
+@pytest.mark.parametrize("gap", [1, 2, 3])
+def test_fast_resume_near_fuel_budget_faults_like_reference(gap):
+    # A resumed run counts on from _resume_executed. Resumed at a fused
+    # loop guard 1-3 instructions short of the budget, the fast engine
+    # must start on the unfused stream, or the fused unit overshoots the
+    # budget and faults past the reference loop's pc.
+    program = compile_source(GUARD_LOOP_SRC)
+    config = VMConfig(max_instructions=1_000)
+    faults = {}
+    for engine, frame_cls in (
+        ("reference", interpreter._Frame), ("fast", FastFrame)
+    ):
+        interp = Interpreter(program, config=config, engine=engine)
+        compiled = interp._ensure_state("main").compiled
+        assert ensure_decoded(compiled)[0][GUARD_PC] == F_LL_CMP_JZ
+        frame = frame_cls(compiled, [10])
+        frame.pc = GUARD_PC
+        frame.locals[1:] = [3, 3]
+        interp._frames.append(frame)
+        interp._resume_executed = config.max_instructions - gap
+        with pytest.raises(FuelExhaustedError) as info:
+            interp.resume() if engine == "fast" else interp._loop()
+        faults[engine] = (info.value.method, info.value.pc)
+    expected = ("main", GUARD_PC + gap - 1)
+    assert faults["fast"] == faults["reference"] == expected
 
 
 def test_stack_overflow_identical():

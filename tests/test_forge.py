@@ -66,6 +66,35 @@ fn main(n) {
 """
 
 
+GC_SOURCE = """
+fn main(n) {
+  var i = 0;
+  var total = 0;
+  while (i < n) {
+    total = total + churn(i);
+    i = i + 1;
+  }
+  return total;
+}
+fn churn(k) {
+  var j = 0;
+  var s = 0;
+  while (j < 30) {
+    s = s + alloc(3000 + j * 7);
+    j = j + 1;
+  }
+  return s + k;
+}
+"""
+
+#: (program index, input) pairs of the workload corpus: ``wrap_workload``
+#: over ``generate(CORPUS_SEED, index)`` with the ``"workload"`` input
+#: profile. Each pair's naive labels promote some method. They are long
+#: runs that cross many sample ticks, and their children run forced code
+#: with shadowed siblings.
+WORKLOAD_PAIRS = ((0, 2), (1, 0), (2, 2), (4, 0), (6, 0))
+
+
 def corpus():
     for index in range(CORPUS_SIZE):
         gp = generate(CORPUS_SEED, index)
@@ -86,6 +115,19 @@ class TestLabelerEquivalence:
             naive = label_naive(program, args)
             forked = label_forked(program, args, early_stop=False)
             assert labels_equal(naive, forked), (program.name, args)
+
+    def test_forked_equals_naive_on_workload_profile(self):
+        for index, k in WORKLOAD_PAIRS:
+            gp = generate(CORPUS_SEED, index)
+            program = compile_module(wrap_workload(gp.module))
+            args = input_args(
+                CORPUS_SEED, index, k, gp.args, profile="workload"
+            )
+            naive = label_naive(program, args)
+            assert max(label.ideal for label in naive.labels.values()) > -1
+            for early_stop in (True, False):
+                forked = label_forked(program, args, early_stop=early_stop)
+                assert labels_equal(naive, forked), (index, k, early_stop)
 
     def test_shared_jit_and_plan_cache_do_not_change_labels(self):
         gp = generate(CORPUS_SEED, 1)
@@ -119,6 +161,17 @@ class TestLabelerEquivalence:
         forked = label_forked(program, (1,), config=config)
         assert naive.fault is not None
         assert labels_equal(naive, forked)
+
+    def test_gc_edge(self):
+        # Collector pauses inside methods with shadow accounts: every
+        # account must replay the pre-divided GC fold at its own speed.
+        program = compile_source(GC_SOURCE)
+        naive = label_naive(program, (40,))
+        assert naive.profile.gc_count > 0
+        for early_stop in (True, False):
+            forked = label_forked(program, (40,), early_stop=early_stop)
+            assert labels_equal(naive, forked), early_stop
+            assert forked.labels["churn"].outcomes[0].derived
 
     def test_labels_are_complete(self):
         program = compile_module(generate(CORPUS_SEED, 2).module)
