@@ -67,6 +67,13 @@ import argparse
 import sys
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -204,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     forge.add_argument(
         "--inputs",
-        type=int,
+        type=_positive_int,
         default=8,
         help="forge: inputs labeled per program (default 8)",
     )

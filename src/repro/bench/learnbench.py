@@ -83,7 +83,7 @@ def synthetic_history(
 
 
 def _build_trained(methods: int, runs: int, seed: int = 0) -> ModelBuilder:
-    builder = ModelBuilder(LEARN_PARAMS, engine="fast")
+    builder = ModelBuilder(LEARN_PARAMS)
     for vector, ideal in synthetic_history(methods, runs, seed=seed):
         builder.observe_run(vector, ideal)
     return builder

@@ -96,7 +96,7 @@ class EvolvableVM:
         gc_model: GCCostModel = GCCostModel(),
         cache_translations: bool = False,
         defer_refits: bool = False,
-        engine: str = "auto",
+        engine: str = "compiled",
         prior=None,
         detect_drift: bool = True,
         drift_monitor: DriftMonitor | None = None,
@@ -104,7 +104,7 @@ class EvolvableVM:
         self.app = app
         self.config = config
         #: Execution-engine knob, forwarded to every Interpreter this VM
-        #: constructs ("auto"/"compiled"/"fast"/"reference"). Under "auto"
+        #: constructs ("compiled"/"fast"/"reference"). Under "compiled"
         #: the adaptive runs, sample listeners and all, execute on the
         #: closure-compiled tier.
         self.engine = engine
@@ -330,7 +330,7 @@ def run_default(
     config: VMConfig = DEFAULT_CONFIG,
     jit: JITCompiler | None = None,
     rng_seed: int = 0,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> RunOutcome:
     """One run under the default (reactive) adaptive optimization scheme."""
     return run_reactive(
@@ -387,7 +387,7 @@ class RepVM:
         app: Application,
         config: VMConfig = DEFAULT_CONFIG,
         jit: JITCompiler | None = None,
-        engine: str = "auto",
+        engine: str = "compiled",
     ):
         self.app = app
         self.config = config

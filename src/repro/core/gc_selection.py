@@ -49,13 +49,10 @@ class GCSelector:
         gc_model: GCCostModel = GCCostModel(),
         default_policy: str = DEFAULT_GC_POLICY,
         min_rows: int = 2,
-        engine: str = "auto",
     ):
         if default_policy not in GC_POLICIES:
             raise ValueError(f"unknown default policy {default_policy!r}")
-        self.model = IncrementalClassifier(
-            tree_params, min_rows=min_rows, engine=engine
-        )
+        self.model = IncrementalClassifier(tree_params, min_rows=min_rows)
         self.confidence = ConfidenceTracker(gamma=gamma, threshold=threshold)
         self.gc_model = gc_model
         self.default_policy = default_policy

@@ -30,38 +30,26 @@ from ..aos.strategy import LevelStrategy
 from ..learning.flat import FlatForest, compile_forest
 from ..learning.incremental import IncrementalClassifier
 from ..learning.matrix import MatrixCache, TrainingMatrix, matrix_key
-from ..learning.tree import ENGINES, ClassificationTree, TreeParams
+from ..learning.tree import ClassificationTree, TreeParams
 from ..xicl.features import FeatureVector
 
 
 def _refit_group(item: tuple) -> list:
     """Worker for parallel offline construction: fit one matrix cohort.
 
-    *item* is ``(columns, kinds, rows_x, engine, entries)`` where entries
-    are ``(method, labels, params)`` — every method in the group shares
-    the same feature matrix, which is presorted exactly once here.
+    *item* is ``(columns, kinds, rows_x, entries)`` where entries are
+    ``(method, labels, params)`` — every method in the group shares the
+    same feature matrix, which is presorted exactly once here.
     Returns ``[(method, root_node), ...]`` in entry order.
     """
     from ..learning.fasttree import build_tree
-    from ..learning.dataset import Dataset, Row
 
-    columns, kinds, rows_x, engine, entries = item
-    out = []
-    if engine == "reference":
-        for method, labels, params in entries:
-            ds = Dataset()
-            ds._columns = list(columns)
-            ds._kinds = dict(zip(columns, kinds))
-            ds._rows = [
-                Row(values, label) for values, label in zip(rows_x, labels)
-            ]
-            tree = ClassificationTree(params, engine="reference").fit(ds)
-            out.append((method, tree.root))
-    else:
-        matrix = TrainingMatrix(columns, kinds, rows_x)
-        for method, labels, params in entries:
-            out.append((method, build_tree(matrix, labels, params)))
-    return out
+    columns, kinds, rows_x, entries = item
+    matrix = TrainingMatrix(columns, kinds, rows_x)
+    return [
+        (method, build_tree(matrix, labels, params))
+        for method, labels, params in entries
+    ]
 
 
 class ModelBuilder:
@@ -71,16 +59,10 @@ class ModelBuilder:
         self,
         tree_params: TreeParams = TreeParams(),
         min_rows: int = 2,
-        engine: str = "auto",
         prior_levels: dict[str, int] | None = None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
-            )
         self.tree_params = tree_params
         self.min_rows = min_rows
-        self.engine = engine
         self._models: dict[str, IncrementalClassifier] = {}
         self._matrix_cache = MatrixCache()
         self._forest: FlatForest | None = None
@@ -105,7 +87,6 @@ class ModelBuilder:
                 model = IncrementalClassifier(
                     self.tree_params,
                     self.min_rows,
-                    engine=self.engine,
                     matrix_cache=self._matrix_cache,
                 )
                 self._models[method] = model
@@ -146,14 +127,14 @@ class ModelBuilder:
             labels = model.dataset.labels()
             groups.setdefault(key, []).append((method, labels, model.params))
         items = [
-            (columns, kinds, rows_x, self.engine, entries)
+            (columns, kinds, rows_x, entries)
             for (columns, kinds, rows_x), entries in groups.items()
         ]
         results, _ = map_parallel(_refit_group, items, jobs)
         for fitted in results:
             for method, root in fitted:
                 model = self._models[method]
-                tree = ClassificationTree(model.params, engine=model.engine)
+                tree = ClassificationTree(model.params)
                 tree.root = root
                 tree._dataset = model.dataset
                 tree._dataset_columns = model.dataset.columns

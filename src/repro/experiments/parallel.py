@@ -99,10 +99,10 @@ class CellSpec:
     #: cache key: artifact reuse only changes wall-clock, never results.
     jit_cache_dir: str | None = None
     #: Execution-engine knob forwarded to the scenario drivers
-    #: ("auto"/"compiled"/"fast"/"reference"). Like ``jit_cache_dir`` it is
+    #: ("compiled"/"fast"/"reference"). Like ``jit_cache_dir`` it is
     #: NOT part of the cell cache key: every engine is bit-identical in
     #: virtual-cycle results, so the choice only changes wall-clock.
-    engine: str = "auto"
+    engine: str = "compiled"
 
     def cache_key(self) -> CacheKey:
         digest = config_digest(
@@ -155,7 +155,7 @@ def plan_cells(
     sequence: list[int] | None = None,
     drift: DriftSpec | None = None,
     jit_cache_dir: str | None = None,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> list[CellSpec]:
     """Split one benchmark's experiment into independent cell specs."""
     if sequence is not None and drift is not None:
@@ -685,7 +685,7 @@ def run_sweep(
     telemetry: TelemetryLog | None = None,
     cache: ResultCache | None = None,
     jit_cache_dir: str | None = None,
-    engine: str = "auto",
+    engine: str = "compiled",
     retries: int = 1,
     cell_timeout: float | None = None,
     backoff_s: float = 0.05,

@@ -10,6 +10,7 @@ from __future__ import annotations
 from random import Random
 
 from .dataset import Dataset
+from .matrix import TrainingMatrix
 from .tree import ClassificationTree, TreeParams
 
 
@@ -32,7 +33,6 @@ def cross_validated_accuracy(
     params: TreeParams = TreeParams(),
     k: int = 5,
     seed: int = 0,
-    engine: str = "auto",
 ) -> float:
     """Mean held-out accuracy of trees fit on k−1 folds.
 
@@ -40,19 +40,15 @@ def cross_validated_accuracy(
     Returns 0.0 for datasets too small to validate at all (a single row),
     keeping early-history confidence conservative.
 
-    On the fast engine every fold fit reuses **one** shared presorted
+    Every fold fit reuses **one** shared presorted
     :class:`~repro.learning.matrix.TrainingMatrix` of the full dataset
-    (fold trees are bit-identical to fitting on a per-fold subset, so
-    scores match the reference engine exactly).
+    (fold trees are bit-identical to fitting on a per-fold subset with
+    the reference builder, so the scores are too).
     """
     n = len(dataset)
     if n < 2:
         return 0.0
-    matrix = None
-    if engine != "reference":
-        from .matrix import TrainingMatrix
-
-        matrix = TrainingMatrix.from_dataset(dataset)
+    matrix = TrainingMatrix.from_dataset(dataset)
     folds = kfold_indices(n, k, seed=seed)
     correct = 0
     counted = 0
@@ -63,7 +59,7 @@ def cross_validated_accuracy(
         train_idx = [i for i in range(n) if i not in held]
         if not train_idx:
             continue
-        tree = ClassificationTree(params, engine=engine).fit_indices(
+        tree = ClassificationTree(params).fit_indices(
             dataset, train_idx, matrix=matrix
         )
         for i in fold:

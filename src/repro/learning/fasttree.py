@@ -88,8 +88,8 @@ def build_tree(
     """Grow a tree over *matrix* rows (optionally a subset) with *labels*.
 
     Returns the root :class:`~repro.learning.tree.Node` — the same node
-    structure the reference builder produces, so prediction, pruning,
-    rendering, and introspection are engine-agnostic.
+    structure the reference builder produces, so prediction, rendering,
+    and introspection are engine-agnostic.
     """
     n = matrix.n_rows
     rows = list(range(n)) if indices is None else list(indices)

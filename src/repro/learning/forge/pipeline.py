@@ -234,8 +234,11 @@ def run_forge(
     persisted there too (``prior.bin``). Output is bit-identical for
     any ``jobs`` (see module docstring). *input_profile* selects the
     input population (see :func:`input_args`): ``"fuzz"`` for the
-    generator-parity 0..9 domain, ``"wide"`` for magnitude-scaled
-    inputs whose ideal labels span the optimization levels.
+    generator-parity 0..9 domain, ``"workload"`` for programs wrapped
+    in a repetition loop (:func:`wrap_workload`) whose run lengths
+    straddle the compile-or-not crossover, so ideal labels depend on
+    the input — the corpus that teaches the cross-program prior
+    discriminative cold-start advice.
     """
     out_dir = Path(out_dir)
     stats = ForgeStats(

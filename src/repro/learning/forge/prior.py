@@ -53,14 +53,11 @@ class CrossProgramPrior:
         self,
         tree_params: TreeParams = TreeParams(),
         min_rows: int = 8,
-        engine: str = "auto",
     ):
         # Imported here to avoid a package cycle (core imports learning).
         from ...core.model_builder import ModelBuilder
 
-        self._builder = ModelBuilder(
-            tree_params, min_rows=min_rows, engine=engine
-        )
+        self._builder = ModelBuilder(tree_params, min_rows=min_rows)
         self.rows_trained = 0
 
     # -- training -----------------------------------------------------------
@@ -71,7 +68,6 @@ class CrossProgramPrior:
             model = IncrementalClassifier(
                 builder.tree_params,
                 builder.min_rows,
-                engine=builder.engine,
                 matrix_cache=builder._matrix_cache,
             )
             columns = forge_columns()

@@ -19,7 +19,7 @@ from ..xicl.features import FeatureVector
 from .crossval import cross_validated_accuracy
 from .dataset import Dataset
 from .matrix import MatrixCache
-from .tree import ENGINES, ClassificationTree, TreeParams
+from .tree import ClassificationTree, TreeParams
 
 
 class IncrementalClassifier:
@@ -29,16 +29,10 @@ class IncrementalClassifier:
         self,
         params: TreeParams = TreeParams(),
         min_rows: int = 2,
-        engine: str = "auto",
         matrix_cache: MatrixCache | None = None,
     ):
-        if engine not in ENGINES:
-            raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
-            )
         self.params = params
         self.min_rows = min_rows
-        self.engine = engine
         self.dataset = Dataset()
         #: Shared presort cache: a ModelBuilder passes one cache to all of
         #: its per-method classifiers so identical feature matrices are
@@ -81,12 +75,9 @@ class IncrementalClassifier:
         observations the previous tree (if any) is kept.
         """
         if len(self.dataset) >= self.min_rows:
-            matrix = (
-                self.matrix_cache.get(self.dataset)
-                if self.matrix_cache is not None and self.engine != "reference"
-                else None
-            )
-            self._tree = ClassificationTree(self.params, engine=self.engine).fit(
+            cache = self.matrix_cache
+            matrix = cache.get(self.dataset) if cache is not None else None
+            self._tree = ClassificationTree(self.params).fit(
                 self.dataset, matrix=matrix
             )
             self.fit_count += 1
@@ -128,9 +119,7 @@ class IncrementalClassifier:
 
     def cv_accuracy(self, k: int = 5, seed: int = 0) -> float:
         """Cross-validated accuracy over the accumulated history."""
-        return cross_validated_accuracy(
-            self.dataset, self.params, k=k, seed=seed, engine=self.engine
-        )
+        return cross_validated_accuracy(self.dataset, self.params, k=k, seed=seed)
 
     def render(self) -> str:
         if self._tree is None:

@@ -90,7 +90,7 @@ class TreeParams:
 
 
 #: Valid values for the training-engine knob (mirrors the interpreter's).
-ENGINES = ("auto", "fast", "reference")
+ENGINES = ("fast", "reference")
 
 
 class ClassificationTree:
@@ -99,21 +99,23 @@ class ClassificationTree:
     Two training engines produce bit-identical trees (same splits, same
     thresholds, same tie-breaks, same float gains):
 
-    - ``"reference"`` — the original per-threshold rescan below, kept
-      verbatim as the executable specification;
-    - ``"fast"`` — the sweep-line builder over a shared presorted
-      :class:`~repro.learning.matrix.TrainingMatrix`
+    - ``"fast"`` (default) — the sweep-line builder over a shared
+      presorted :class:`~repro.learning.matrix.TrainingMatrix`
       (:mod:`repro.learning.fasttree`);
-    - ``"auto"`` (default) — the fast builder.
+    - ``"reference"`` — the original per-threshold rescan below, kept
+      verbatim as the executable specification.
 
-    ``tests/test_learning_equivalence.py`` holds the engines to
-    bit-identity the same way the VM's engine-equivalence suite does.
+    Every learning layer above the tree trains with the fast builder;
+    only the equivalence suite (``tests/test_learning_equivalence.py``,
+    which holds the engines to bit-identity the same way the VM's
+    engine-equivalence suite does) and the learning bench name the
+    reference builder.
     """
 
-    def __init__(self, params: TreeParams = TreeParams(), engine: str = "auto"):
+    def __init__(self, params: TreeParams = TreeParams(), engine: str = "fast"):
         if engine not in ENGINES:
             raise ValueError(
-                f"engine must be 'auto', 'fast', or 'reference', got {engine!r}"
+                f"engine must be 'fast' or 'reference', got {engine!r}"
             )
         self.params = params
         self.engine = engine
@@ -297,65 +299,6 @@ class ClassificationTree:
         if self._dataset is None:
             raise ValueError("tree is not fitted")
         return self.predict_values(self._dataset.vector_values(vector))
-
-    # -- pruning -------------------------------------------------------------
-    def prune_with(self, rows: list[Row]) -> int:
-        """Reduced-error pruning against held-out *rows*.
-
-        Bottom-up over the tree: an inner node whose majority-label leaf
-        replacement makes no more validation errors than its subtree is
-        collapsed. Returns the number of nodes removed. With an empty
-        validation set, every split is collapsed (no evidence retains it),
-        so callers should pass a meaningful sample.
-        """
-        if self.root is None:
-            raise ValueError("tree is not fitted")
-
-        def leaf_errors(node: Node, reaching: list[Row]) -> int:
-            return sum(1 for row in reaching if row.label != node.label)
-
-        removed = 0
-
-        def visit(node: Node, reaching: list[Row]) -> int:
-            """Prune below *node*; return its post-pruning error count.
-
-            Each validation row is routed once per tree level (it reaches
-            every node on exactly one root-to-leaf path), so the subtree's
-            errors are the sum of the children's — no re-descent from the
-            subtree root per node.
-            """
-            nonlocal removed
-            if node.is_leaf:
-                return leaf_errors(node, reaching)
-            left_rows: list[Row] = []
-            right_rows: list[Row] = []
-            for row in reaching:
-                side = node.split.goes_left(row.values[node.split.column_index])
-                if side is None:
-                    side = node.left.size >= node.right.size
-                (left_rows if side else right_rows).append(row)
-            subtree = visit(node.left, left_rows) + visit(node.right, right_rows)
-            as_leaf = leaf_errors(node, reaching)
-            if as_leaf <= subtree:
-                removed += self._count_nodes(node) - 1
-                node.split = None
-                node.left = None
-                node.right = None
-                return as_leaf
-            return subtree
-
-        visit(self.root, list(rows))
-        return removed
-
-    @staticmethod
-    def _count_nodes(node: Node | None) -> int:
-        if node is None:
-            return 0
-        return (
-            1
-            + ClassificationTree._count_nodes(node.left)
-            + ClassificationTree._count_nodes(node.right)
-        )
 
     # -- introspection ---------------------------------------------------------
     def used_features(self) -> tuple[str, ...]:

@@ -54,8 +54,9 @@ Exactness rules the emitter obeys:
    no instruction with ordinal > fuel ever executes compiled. A guard
    that fires raises the runtime's deoptimization exception with the
    frame's exact state (pc, locals, stack temps); each call site it
-   passes adds its caller's frame, and the run continues on the
-   reference loop, which decides the last instructions one at a time.
+   passes adds its caller's frame, and the run continues on the fast
+   engine, whose unfused stream decides the last instructions one at a
+   time.
 
 Shapes the emitter cannot structure (irreducible control flow,
 cross-loop jumps, non-innermost breaks, a branch arm that jumps past its

@@ -4,7 +4,7 @@ The third (fastest) execution engine. :mod:`repro.vm.closure_emit`
 generates one Python function per :class:`~repro.vm.opt.jit.CompiledCode`
 artifact; this module ``exec``-compiles that source, memoizes the
 resulting closure on the artifact, dispatches cross-method calls, and
-hands a run to the reference loop when a closure cannot go on.
+hands a run to the fast engine when a closure cannot go on.
 
 Architecture of one compiled run:
 
@@ -28,7 +28,7 @@ Architecture of one compiled run:
   carries the raising frame's pc, locals and stack temps, each call site
   it crosses adds its caller's frame, and :meth:`Interpreter.run
   <repro.vm.interpreter.Interpreter.run>` continues the run from that
-  exact state on the reference loop, with the same listeners attached.
+  exact state on the fast engine, with the same listeners attached.
   Deoptimization changes wall-clock only, never observable results.
 
 Exactness contract (enforced by ``tests/test_engine_equivalence.py``,
@@ -79,7 +79,7 @@ _W_CALL = BASE_COST[Op.CALL]
 
 
 class _Deopt(Exception):
-    """Internal: continue the run on the reference loop from an exact state.
+    """Internal: continue the run on the fast engine from an exact state.
 
     ``frames`` starts with the frame that raised; each call site the
     exception crosses appends its caller's frame, so the list ends with
@@ -270,8 +270,8 @@ def _invoke(vm, name, args, clock, executed):
         try:
             fn = ensure_closure(compiled, interp.program)
         except ClosureUnsupported:
-            # The CALL is complete; the callee starts on the reference
-            # loop, and its callers follow it there.
+            # The CALL is complete; the callee starts on the fast
+            # engine, and its callers follow it there.
             locals_ = list(args) + [0] * (compiled.num_locals - len(args))
             raise _Deopt(
                 clock, executed, name, compiled.code, 0, locals_, []
@@ -333,7 +333,7 @@ def run_compiled(interp, state, args: tuple):
 
     Entry contract mirrors ``run_fast``: the entry state exists, its
     invocation is counted, ``interp.clock`` is live. Raises
-    :class:`_Deopt` when the run must continue on the reference loop.
+    :class:`_Deopt` when the run must continue on the fast engine.
 
     The recursion limit is raised, if need be, to cover this thread's
     host depth at entry plus :data:`_FRAMES_PER_CALL` frames per VM call,

@@ -44,9 +44,10 @@ iteration. Three mechanisms carry the speedup:
    which is exact unconditionally. Fuel exhaustion stays exact through a
    soft limit: within ``FUEL_MARGIN`` instructions of the budget the loop
    drops to the unfused stream, so the reference's per-instruction fuel
-   check decides the final instructions. A resumed run counts on from
-   ``Interpreter._resume_executed``, and one that starts inside the
-   margin starts unfused.
+   check decides the final instructions. A run taken over midway (a
+   forge child resumed from a fork snapshot, or a compiled run that
+   deoptimized) counts on from ``Interpreter._resume_executed``, and one
+   that starts inside the margin starts unfused.
 
 The engine also carries the forge's forked-run plumbing
 (:mod:`repro.learning.forge.labeler`), all dormant unless the labeler

@@ -93,11 +93,11 @@ class Interpreter:
         first_invocation_hook: FirstInvocationHook | None = None,
         gc_policy: str = DEFAULT_GC_POLICY,
         gc_model: GCCostModel = GCCostModel(),
-        engine: str = "auto",
+        engine: str = "compiled",
     ):
-        if engine not in ("auto", "compiled", "fast", "reference"):
+        if engine not in ("compiled", "fast", "reference"):
             raise ValueError(
-                "engine must be 'auto', 'compiled', 'fast', or 'reference', "
+                "engine must be 'compiled', 'fast', or 'reference', "
                 f"got {engine!r}"
             )
         self.program = program
@@ -115,9 +115,9 @@ class Interpreter:
         self._recompile_queue: list[tuple[str, int]] = []
         self._first_invocation_hook = first_invocation_hook
         self._finished = False
-        # Instructions executed before a loop takes over a run midway: a
-        # forge child resumed from a fork snapshot (fast engine), or a
-        # compiled run that deoptimized (reference loop).
+        # Instructions executed before the fast engine takes over a run
+        # midway: a forge child resumed from a fork snapshot, or a
+        # compiled run that deoptimized.
         self._resume_executed = 0
         # Forge plumbing (repro.learning.forge), read only by the fast
         # engine (repro.vm.fastpath.run_fast): all default-off, and dormant
@@ -220,16 +220,16 @@ class Interpreter:
             )
         self._apply_recompiles()
         state.invocations += 1
-        # Engine ladder: "auto" and "compiled" start on the compiled tier,
-        # listeners or not, and route a run to the fast engine only when
-        # its entry has no closure or its depth limit is beyond the tier;
-        # a compiled run that cannot go on deoptimizes onto the reference
-        # loop mid-run. "fast"/"reference" pin their loops ("reference" is
-        # the oracle for the differential harness and the benchmark
-        # suite). All tiers are bit-identical in virtual-cycle semantics —
-        # see repro.vm.fastpath and repro.vm.closures.
+        # Engine ladder: "compiled" starts on the compiled tier, listeners
+        # or not. The fast engine is its one fallback: it takes a run whose
+        # entry has no closure or whose depth limit is beyond the tier, and
+        # it finishes a compiled run that deoptimizes mid-run. "fast" and
+        # "reference" pin their loops ("reference" is the executable
+        # specification: the differential oracle and the forge's naive
+        # labeler run it). All tiers are bit-identical in virtual-cycle
+        # semantics — see repro.vm.fastpath and repro.vm.closures.
         entry_fn = None
-        if self.engine in ("auto", "compiled"):
+        if self.engine == "compiled":
             entry_fn = resolve_compiled(self, entry_name)
         try:
             if entry_fn is not None:
@@ -237,12 +237,13 @@ class Interpreter:
                     result = run_compiled(self, state, tuple(args))
                 except _Deopt as deopt:
                     self._restore_deopt(deopt)
-                    result = self._loop()
+                    result = run_fast(self)
+            elif self.engine == "reference":
+                self._frames.append(_Frame(state.compiled, list(args)))
+                result = self._loop()
             else:
-                use_fast = self.engine != "reference"
-                frame_cls = FastFrame if use_fast else _Frame
-                self._frames.append(frame_cls(state.compiled, list(args)))
-                result = run_fast(self) if use_fast else self._loop()
+                self._frames.append(FastFrame(state.compiled, list(args)))
+                result = run_fast(self)
         except _HOST_FAULTS as exc:
             raise self._runtime_fault(exc) from exc
         self._finished = True
@@ -292,13 +293,17 @@ class Interpreter:
         )
 
     def _restore_deopt(self, deopt: _Deopt) -> None:
-        """Rebuild a deoptimized compiled run's frames for the reference
-        loop, outermost first, each at its method's current speed (a
-        recompile applied mid-activation upgrades every live frame)."""
+        """Rebuild a deoptimized compiled run's frames for the fast engine,
+        outermost first. Each frame runs the code it entered with, decoded
+        here (a deoptimized frame carries its instruction tuple, not the
+        artifact that memoizes the decode), at its method's current speed
+        (a recompile applied mid-activation upgrades every live frame)."""
         for name, code, pc, locals_, stack in reversed(deopt.frames):
-            frame = _Frame.__new__(_Frame)
+            frame = FastFrame.__new__(FastFrame)
+            frame.fops, frame.fargs, frame.pops, frame.pargs = (
+                fastpath.decode(code)
+            )
             frame.name = name
-            frame.code = code
             frame.pc = pc
             frame.locals = locals_
             frame.stack = stack
@@ -339,7 +344,6 @@ class Interpreter:
         max_depth = config.max_call_depth
         fuel = config.max_instructions
         clock = self.clock
-        # Starts mid-count when continuing a deoptimized compiled run.
         executed = self._resume_executed
 
         frame = frames[-1]
@@ -554,7 +558,7 @@ def run_program(
     args: tuple = (),
     config: VMConfig = DEFAULT_CONFIG,
     rng_seed: int = 0,
-    engine: str = "auto",
+    engine: str = "compiled",
 ) -> tuple[object, RunProfile]:
     """Convenience: run *program* once with no adaptive controller.
 

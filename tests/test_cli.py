@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import repro
 from repro.__main__ import main
 
 BASELINE = Path(__file__).parent.parent / "benchmarks" / "BENCH_baseline.json"
@@ -71,6 +75,28 @@ class TestCLI:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_forge_rejects_zero_inputs(self, tmp_path):
+        # With no inputs per program, --check-naive never counts a pair
+        # and would generate programs forever; the parser refuses the
+        # value before any work starts. A subprocess, so a hang fails the
+        # test instead of stalling the suite.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "forge", "--programs", "1",
+                "--inputs", "0", "--check-naive", "1",
+                "--forge-dir", str(tmp_path / "forge"),
+            ],
+            capture_output=True,
+            text=True,
+            timeout=30,
+            env=env,
+        )
+        assert proc.returncode == 2
+        assert "argument --inputs: must be at least 1" in proc.stderr
+        assert not (tmp_path / "forge").exists()
 
     def test_table1_reduced(self, capsys):
         assert main(["table1", "--runs", "4"]) == 0

@@ -12,6 +12,8 @@ tier — could plausibly leak. The regression corpus replays through the
 same matrix in ``tests/test_corpus_replay.py``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.aos.controller import AdaptiveController
@@ -20,6 +22,7 @@ from repro.testing import (
     FUZZ_CONFIG,
     Variant,
     default_variants,
+    execute_variant,
     generate,
     run_differential,
 )
@@ -271,8 +274,8 @@ def test_compiled_deep_nesting_identical():
 @pytest.mark.parametrize("fuel", [5, 37, 200, 777, 3000])
 def test_compiled_fuel_exhaustion_mid_loop(fuel):
     # Budget-critical runs must deoptimize off the compiled tier onto the
-    # reference loop; the fault surfaces after exactly the same
-    # instruction with the same partial output either way.
+    # fast engine; the fault surfaces after exactly the same instruction
+    # with the same partial output either way.
     program = compile_source(DEEP_NEST_SRC)
     config = VMConfig(max_instructions=fuel)
     assert_engines_agree(program, (9,), config=config)
@@ -280,11 +283,17 @@ def test_compiled_fuel_exhaustion_mid_loop(fuel):
 
 @pytest.fixture
 def deopts(monkeypatch):
-    """Refuse the fast engine and record each deoptimization's frames
-    (method names, innermost first): a run checked under this fixture
-    starts compiled and leaves the tier only by deoptimizing."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("the run was routed to the fast engine")
+    """Refuse to start a compiled run on the fast engine, and record each
+    deoptimization's frames (method names, innermost first): a run checked
+    under this fixture starts compiled and leaves the tier only by
+    deoptimizing, onto the fast engine."""
+    resolve = interpreter.resolve_compiled
+
+    def entry_closure(interp, entry_name):
+        fn = resolve(interp, entry_name)
+        if fn is None:
+            raise AssertionError("the run was routed to the fast engine")
+        return fn
 
     seen = []
     restore = interpreter.Interpreter._restore_deopt
@@ -293,7 +302,7 @@ def deopts(monkeypatch):
         seen.append(tuple(frame[0] for frame in deopt.frames))
         restore(self, deopt)
 
-    monkeypatch.setattr(interpreter, "run_fast", refuse)
+    monkeypatch.setattr(interpreter, "resolve_compiled", entry_closure)
     monkeypatch.setattr(interpreter.Interpreter, "_restore_deopt", record)
     return seen
 
@@ -326,7 +335,7 @@ def _adaptive_matrix(program, args, config):
 @pytest.mark.parametrize("fuel", [777, 3000, 4900])
 def test_adaptive_fuel_exhaustion_mid_loop_deoptimizes(fuel, deopts):
     # Near the budget a compiled adaptive run deoptimizes at a back-edge
-    # or call return, and the reference loop, with the controller still
+    # or call return, and the fast engine, with the controller still
     # attached, decides exactly where the fuel runs out.
     program = compile_source(DEEP_NEST_SRC)
     report = _adaptive_matrix(program, (9,), VMConfig(max_instructions=fuel))
@@ -363,7 +372,7 @@ fn pick(x) {
 
 def test_adaptive_callee_without_closure_deoptimizes(deopts):
     # The emitter cannot structure pick's short-circuit condition, so its
-    # first CALL deoptimizes: pick starts on the reference loop and main's
+    # first CALL deoptimizes: pick starts on the fast engine and main's
     # live frame follows it there, mid-loop, ticks and recompiles intact.
     from repro.vm import DEFAULT_CONFIG, JITCompiler
     from repro.vm.closures import ClosureUnsupported, ensure_closure
@@ -377,6 +386,41 @@ def test_adaptive_callee_without_closure_deoptimizes(deopts):
     assert outcome.kind == "ok"
     assert any(level > -1 for _, level, _, _ in outcome.compile_events)
     assert deopts == [("pick", "main")]
+
+
+def test_deoptimized_runs_never_enter_the_reference_loop(monkeypatch, deopts):
+    # The reference loop is the specification, not a fallback: with it
+    # made to fail, every deoptimizing run above (each compiled config of
+    # DEEP_NEST_SRC near its fuel budget, and the closure-less callee)
+    # finishes on the fast engine and matches its reference result, taken
+    # before the patch.
+    deep = compile_source(DEEP_NEST_SRC)
+    cases = [
+        (deep, (9,), variant, VMConfig(max_instructions=fuel))
+        for fuel in (5, 37, 200, 777, 3000, 4900)
+        for variant in default_variants()
+        if variant.engine == "compiled"
+    ]
+    cases.append((
+        compile_source(NO_CLOSURE_SRC),
+        (400,),
+        Variant("adaptive", engine="compiled", controller="adaptive"),
+        FUZZ_CONFIG,
+    ))
+    expected = [
+        execute_variant(program, args, replace(variant, engine="reference"),
+                        config)
+        for program, args, variant, config in cases
+    ]
+
+    def refuse(self):
+        raise AssertionError("a compiled run entered the reference loop")
+
+    monkeypatch.setattr(interpreter.Interpreter, "_loop", refuse)
+    for (program, args, variant, config), want in zip(cases, expected):
+        got = execute_variant(program, args, variant, config)
+        assert got == want, f"{variant.name} at {config.max_instructions}"
+    assert len(deopts) == len(cases)
 
 
 def test_resolve_compiled_accepts_listeners_refuses_extreme_depth():

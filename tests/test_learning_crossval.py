@@ -142,16 +142,3 @@ class TestIncrementalClassifier:
         model.dataset._rows.clear()  # simulate history reset
         model.refit()
         assert model.tree is tree_before
-
-    def test_engine_knob_validated(self):
-        with pytest.raises(ValueError):
-            IncrementalClassifier(engine="turbo")
-
-    def test_cv_accuracy_engine_equivalence(self):
-        ref = IncrementalClassifier(engine="reference")
-        fast = IncrementalClassifier(engine="fast")
-        for i in range(25):
-            label = "a" if (i % 7) < 4 else "b"
-            ref.observe(vec(x=i % 7, y=i % 3), label)
-            fast.observe(vec(x=i % 7, y=i % 3), label)
-        assert ref.cv_accuracy() == fast.cv_accuracy()

@@ -158,3 +158,8 @@ class TestTreeFitting:
     def test_unfitted_predict_rejected(self):
         with pytest.raises(ValueError):
             ClassificationTree().predict(vec(x=1))
+
+    def test_engine_knob_validated(self):
+        for engine in ("turbo", "auto"):
+            with pytest.raises(ValueError):
+                ClassificationTree(engine=engine)

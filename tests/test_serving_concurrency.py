@@ -174,10 +174,9 @@ class TestStaleClosures:
                 payloads.append(tenant.run(cmd, seed=len(TRAIN) + i))
             return payloads
 
-        auto = stream("auto")
         compiled = stream("compiled")
         reference = stream("reference")
-        assert auto == compiled == reference
+        assert compiled == reference
 
 
 class TestBackpressure:

@@ -5,10 +5,10 @@
 programs at seed 0, per outcome the fields perfbench's ``outcome_digest``
 hashes. Every driver of the protocol must reproduce it: the inline and
 pooled sweep, the serial runner, and each engine named one by one
-(``auto`` follows the routing, which could quietly stop covering an
-engine). A change that moves it changed what the paper's experiments
-observe: commit a new value only with a CHANGES.md line saying what
-observable changed.
+(the default, ``compiled``, falls back to the fast engine, so it alone
+could quietly stop covering an engine). A change that moves it changed
+what the paper's experiments observe: commit a new value only with a
+CHANGES.md line saying what observable changed.
 """
 
 import dataclasses

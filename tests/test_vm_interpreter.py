@@ -211,6 +211,11 @@ class TestRecompilation:
         with pytest.raises(ExecutionError, match="single-use"):
             interp.run((3,))
 
+    def test_engine_knob_validated(self, loop_program):
+        for engine in ("turbo", "auto"):
+            with pytest.raises(ValueError):
+                Interpreter(loop_program, engine=engine)
+
 
 class TestOutput:
     def test_print_captured_not_emitted(self, capsys):
