@@ -103,9 +103,8 @@ class MatrixCache:
         self.hits = 0
         self.misses = 0
         self.evictions = 0
-        # Serving-layer tenants swap models from worker threads while
-        # predictions read through the same builder; the lock keeps the
-        # LRU reorder + eviction sequence atomic under that contention.
+        # The lock keeps the LRU reorder + eviction sequence atomic when
+        # callers share one ModelBuilder across threads.
         self._lock = threading.Lock()
 
     def get(self, dataset: Dataset) -> TrainingMatrix:

@@ -6,8 +6,13 @@ Architecture (``docs/serving.md`` has the operator-facing picture):
   operations — runs, predicts, swaps — flow through its queue in arrival
   order, so each tenant's outcome stream is a pure function of its
   request sequence: bit-identical to replaying the same requests
-  serially (the concurrency suite asserts this). Different tenants
-  proceed concurrently on a shared thread pool.
+  serially (the concurrency suite asserts this).
+- **Ops run on the event loop.** A worker executes each hop inline and
+  then yields once, so tenants interleave hop by hop with each other
+  and with the connection readers, and a backlog on one tenant cannot
+  starve the rest. The ops are pure Python under the GIL, so a thread
+  pool would only add hand-offs; process parallelism comes from
+  ``--shards`` (:mod:`repro.serving.shards`).
 - **Admission control**: a full tenant queue sheds the request
   immediately with a machine-readable 429
   (:func:`~repro.serving.protocol.shed_response`), counted per tenant
@@ -38,7 +43,6 @@ from __future__ import annotations
 import asyncio
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from ..experiments.telemetry import TelemetryLog, serve_event
@@ -128,17 +132,12 @@ class FleetServer:
         self.stats = ServerStats()
         self._queues: dict[str, asyncio.Queue] = {}
         self._worker_tasks: list[asyncio.Task] = []
-        self._executor: ThreadPoolExecutor | None = None
         self._started = False
 
     # -- lifecycle -----------------------------------------------------------
     async def start(self) -> None:
         if self._started:
             return
-        self._executor = ThreadPoolExecutor(
-            max_workers=max(2, len(self.tenants)),
-            thread_name_prefix="fleet",
-        )
         for name, tenant in self.tenants.items():
             queue: asyncio.Queue = asyncio.Queue(maxsize=self.queue_bound)
             self._queues[name] = queue
@@ -199,9 +198,6 @@ class FleetServer:
             task.cancel()
         await asyncio.gather(*self._worker_tasks, return_exceptions=True)
         self._worker_tasks.clear()
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
         if persist:
             for tenant in self.tenants.values():
                 self.registry.save(tenant.vm)
@@ -273,7 +269,6 @@ class FleetServer:
     async def _tenant_worker(
         self, tenant: Tenant, queue: asyncio.Queue
     ) -> None:
-        loop = asyncio.get_running_loop()
         while True:
             request, future, admitted = await queue.get()
             batch: list[tuple[dict, asyncio.Future, float]] = [
@@ -288,12 +283,15 @@ class FleetServer:
                 ):
                     batch.append(queue.get_nowait())
             try:
-                await self._execute_batch(loop, tenant, batch, queue)
+                self._execute_batch(tenant, batch, queue)
             finally:
                 for _ in batch:
                     queue.task_done()
+            # get() on a non-empty queue returns without suspending, so
+            # a backlog would otherwise hold the loop: yield once per hop.
+            await asyncio.sleep(0)
 
-    async def _execute_batch(self, loop, tenant: Tenant, batch, queue) -> None:
+    def _execute_batch(self, tenant: Tenant, batch, queue) -> None:
         op = batch[0][0]["op"]
         try:
             if op == "predict":
@@ -301,10 +299,8 @@ class FleetServer:
                 # — a solo predict is a hop of size 1 — so the stats
                 # surface shows how much of the stream actually batches.
                 self.stats.note_batch(len(batch))
-                payloads = await loop.run_in_executor(
-                    self._executor,
-                    tenant.predict_batch,
-                    [request["cmdline"] for request, _, _ in batch],
+                payloads = tenant.predict_batch(
+                    [request["cmdline"] for request, _, _ in batch]
                 )
                 if len(batch) > 1:
                     self.stats.batches += 1
@@ -319,11 +315,7 @@ class FleetServer:
                             )
                         )
             else:
-                payloads = [
-                    await loop.run_in_executor(
-                        self._executor, self._run_op, tenant, batch[0][0]
-                    )
-                ]
+                payloads = [self._run_op(tenant, batch[0][0])]
         except Exception as exc:  # worker exception: reported, not fatal
             self.stats.errors += len(batch)
             for request, future, _ in batch:
@@ -367,22 +359,17 @@ class FleetServer:
         # Auto-swap sits inside the tenant's serialized stream, so its
         # position in the request order is deterministic.
         if op == "run" and tenant.due_for_swap():
-            await self._swap(loop, tenant)
+            self._swap(tenant)
 
     def _run_op(self, tenant: Tenant, request: dict) -> dict:
         op = request["op"]
         if op == "run":
             return tenant.run(request["cmdline"], request.get("seed"))
         if op == "swap":
-            return self._swap_sync(tenant)
+            return self._swap(tenant)
         raise ValueError(f"unroutable op {op!r}")
 
-    async def _swap(self, loop, tenant: Tenant) -> dict:
-        return await loop.run_in_executor(
-            self._executor, self._swap_sync, tenant
-        )
-
-    def _swap_sync(self, tenant: Tenant) -> dict:
+    def _swap(self, tenant: Tenant) -> dict:
         start = time.perf_counter()
         info = tenant.swap()
         self.stats.swaps += 1

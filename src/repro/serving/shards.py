@@ -1,9 +1,9 @@
 """Sharded multi-process serving: N worker fleets behind one router.
 
-The asyncio :class:`~repro.serving.server.FleetServer` tops out at one
-CPU no matter how many cores the host has — the GIL serializes every
-tenant worker's Python. ``repro serve --shards N`` escapes that ceiling
-without changing any per-tenant semantics:
+The asyncio :class:`~repro.serving.server.FleetServer` runs every
+tenant op on its one event-loop thread, so it tops out at one CPU no
+matter how many cores the host has. ``repro serve --shards N`` escapes
+that ceiling without changing any per-tenant semantics:
 
 - **Workers**: N forked processes, each running an ordinary
   :class:`FleetServer` over a deterministic hash-partition of the tenant
@@ -18,7 +18,9 @@ without changing any per-tenant semantics:
   connection per worker. Every request is tagged with a ``rid`` (see
   :mod:`repro.serving.protocol`); per-tenant ordering is preserved
   because a tenant maps to exactly one shard and each shard's requests
-  are written in submission order over one connection. The router
+  are written in submission order over one connection. Both ends
+  coalesce: the requests queued for a shard, and the replies a worker
+  completes in one event-loop pass, each leave in one write. The router
   duck-types :meth:`FleetServer.submit`, so the public TCP transport
   (:func:`~repro.serving.server.serve_tcp`) works unchanged on top.
 - **Death and respawn**: a dead worker — or one whose connection
@@ -42,6 +44,7 @@ every shard count, including through a forced worker kill + respawn.
 from __future__ import annotations
 
 import asyncio
+import functools
 import hashlib
 import multiprocessing
 import time
@@ -92,22 +95,28 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
     request/response per connection), many requests ride in flight at
     once: each line is admitted synchronously in arrival order (so
     per-connection admission order is exactly the router's submission
-    order) and its response is written whenever it completes, tagged
-    with the request's echoed ``rid``. A reply longer than
-    :data:`~repro.serving.protocol.LINE_LIMIT` goes out as a 500 for its
-    ``rid`` instead, since the router could not read it. Control ops
-    short-circuit before schema validation; ``__shutdown__`` resolves the
-    returned future.
+    order) and its response is sent whenever it completes, tagged with
+    the request's echoed ``rid``. Replies completed in one pass of the
+    event loop share one buffer and leave in one write. A reply longer
+    than :data:`~repro.serving.protocol.LINE_LIMIT` goes out as a 500
+    for its ``rid`` instead, since the router could not read it. Control
+    ops short-circuit before schema validation; ``__shutdown__`` flushes
+    the buffer, then resolves the returned future.
     """
     loop = asyncio.get_running_loop()
     finished: asyncio.Future = loop.create_future()
 
     async def handle(reader, writer):
-        write_lock = asyncio.Lock()
-        replies: set[asyncio.Task] = set()
+        out = bytearray()
+        waiting: set[asyncio.Future] = set()
 
-        async def reply(rid, future):
-            response = dict(await future)
+        def flush() -> None:
+            if out:
+                writer.write(bytes(out))
+                out.clear()
+
+        def reply(rid, response: dict) -> None:
+            response = dict(response)
             if rid is not None:
                 response["rid"] = rid
             line = encode_line(response)
@@ -116,60 +125,63 @@ async def serve_pipelined(server: FleetServer, host: str = "127.0.0.1",
                     f"reply of {len(line)} bytes exceeds the "
                     f"{LINE_LIMIT}-byte line limit"
                 )), rid=rid))
-            async with write_lock:
-                writer.write(line)
-                await writer.drain()
+            if not out:
+                loop.call_soon(flush)
+            out.extend(line)
 
-        def spawn_reply(rid, future) -> None:
-            task = asyncio.create_task(reply(rid, future))
-            replies.add(task)
-            task.add_done_callback(replies.discard)
+        def on_done(rid, future: asyncio.Future) -> None:
+            waiting.discard(future)
+            reply(rid, future.result())
+
+        async def settle() -> None:
+            """Wait until every admitted request's reply is buffered."""
+            if waiting:
+                await asyncio.wait(waiting)
 
         try:
             while True:
+                # Flow control: admit nothing more while the peer is
+                # not reading its replies.
+                await writer.drain()
                 line = await reader.readline()
                 if not line:
                     break
                 request = decode_line(line)
                 rid = request.pop("rid", None) if request else None
                 if request is None:
-                    future = loop.create_future()
-                    future.set_result(
-                        bad_request_response({}, ["unparseable JSON line"])
-                    )
-                    spawn_reply(rid, future)
+                    reply(rid, bad_request_response(
+                        {}, ["unparseable JSON line"]
+                    ))
                 elif request.get("op") == SHARD_SYNC_OP:
                     # Quiesce: every accepted request — including any
                     # trailing auto-swap — fully processed before the
                     # reply. The deterministic boundary a planned kill
                     # (or the kill-aware serial baseline) lines up on.
                     await server.drain()
-                    future = loop.create_future()
-                    future.set_result(ok_response(request))
-                    spawn_reply(rid, future)
+                    await settle()
+                    reply(rid, ok_response(request))
                 elif request.get("op") == SHARD_SHUTDOWN_OP:
                     await server.stop(persist=True)
-                    await reply(rid, _ready(loop, ok_response(
+                    await settle()
+                    reply(rid, ok_response(
                         request, **server._stats_payload()
-                    )))
+                    ))
+                    flush()
+                    await writer.drain()
                     if not finished.done():
                         finished.set_result(None)
                     break
                 else:
-                    spawn_reply(rid, server.submit_nowait(request))
+                    future = server.submit_nowait(request)
+                    waiting.add(future)
+                    future.add_done_callback(functools.partial(on_done, rid))
+            await settle()
         finally:
-            if replies:
-                await asyncio.gather(*replies, return_exceptions=True)
+            flush()
             writer.close()
 
     tcp = await asyncio.start_server(handle, host, port)
     return tcp, finished
-
-
-def _ready(loop, value) -> asyncio.Future:
-    future = loop.create_future()
-    future.set_result(value)
-    return future
 
 
 def shard_worker_main(factory, factory_args, shard_index: int,
@@ -260,6 +272,17 @@ class _Shard:
         self.connected = asyncio.Event()
         self.respawns = 0
         self.final_stats: dict | None = None
+
+    async def close_connection(self) -> None:
+        """Close the pipelined connection; the worker may already be
+        gone, in which case the socket closes with an error we drop."""
+        if self.writer is None:
+            return
+        self.writer.close()
+        try:
+            await self.writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 class ShardRouter:
@@ -447,20 +470,27 @@ class ShardRouter:
     # -- the per-shard pump tasks --------------------------------------------
     async def _write_requests(self, shard: _Shard) -> None:
         """Single writer per shard: outbound admission order is wire
-        order, which is what preserves per-tenant request order."""
+        order, which is what preserves per-tenant request order. Every
+        request queued when the writer wakes leaves in one write."""
+        outbound = shard.outbound
         while True:
-            request, future = await shard.outbound.get()
-            rid = self._next_rid
-            self._next_rid += 1
-            shard.pending[rid] = (future, request)
-            line = dict(request)
-            line["rid"] = rid
+            queued = [await outbound.get()]
+            while not outbound.empty():
+                queued.append(outbound.get_nowait())
+            lines = []
+            for request, future in queued:
+                rid = self._next_rid
+                self._next_rid += 1
+                shard.pending[rid] = (future, request)
+                line = dict(request)
+                line["rid"] = rid
+                lines.append(encode_line(line))
             try:
-                shard.writer.write(encode_line(line))
+                shard.writer.write(b"".join(lines))
                 await shard.writer.drain()
             except (ConnectionError, OSError):
-                # The reader task owns the death path; the request sits
-                # in pending and is failed/respawned from there.
+                # The reader task owns the death path; the requests sit
+                # in pending and are failed/respawned from there.
                 return
 
     async def _read_responses(self, shard: _Shard) -> None:
@@ -505,6 +535,7 @@ class ShardRouter:
                         ),
                     )
                 )
+        await shard.close_connection()
         self.report.record(
             "serving", "shard-respawn", "worker-died",
             detail=f"shard {shard.index} ({', '.join(shard.tenants)}): "
@@ -545,6 +576,7 @@ class ShardRouter:
                 if shard.process.is_alive():
                     shard.process.kill()
                     shard.process.join(timeout=10)
+            await shard.close_connection()
         self._merge_telemetry()
         self._started = False
         return _merge_stats_payloads(responses)

@@ -337,9 +337,9 @@ def run_compiled(interp, state, args: tuple):
 
     The recursion limit is raised, if need be, to cover this thread's
     host depth at entry plus :data:`_FRAMES_PER_CALL` frames per VM call,
-    so the VM depth check always fires first. Serving runs execute on
-    executor threads, so the limit is restored only when no compiled run
-    is live in any thread.
+    so the VM depth check always fires first. A caller may run compiled
+    runs from several threads, so the limit is restored only when no
+    compiled run is live in any thread.
     """
     global _live_runs, _saved_limit
     fn = ensure_closure(state.compiled, interp.program)

@@ -460,10 +460,10 @@ def test_compiled_stack_overflow_edges(depth):
 
 
 def test_recursion_limit_held_while_any_thread_runs_compiled():
-    # Serving runs execute compiled on executor threads. A deep run needs
-    # the raised recursion limit for its whole length, so the limit may
-    # drop back only once no compiled run is live in any thread; a deep
-    # run that outlived it would die with a RecursionError.
+    # A caller may run compiled runs from several threads at once. A deep
+    # run needs the raised recursion limit for its whole length, so the
+    # limit may drop back only once no compiled run is live in any
+    # thread; a deep run that outlived it would die with a RecursionError.
     import sys
     import threading
 

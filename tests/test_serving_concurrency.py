@@ -1,6 +1,6 @@
 """Concurrency soundness for the serving fleet (docs/serving.md).
 
-Three contracts, each the reason the ISSUE's serving layer is trustworthy:
+Four contracts, each the reason the serving layer is trustworthy:
 
 1. **Bit-identity** — N tenants served concurrently produce, per tenant,
    exactly the outcome stream a serial replay of the same requests
@@ -11,6 +11,9 @@ Three contracts, each the reason the ISSUE's serving layer is trustworthy:
 3. **Backpressure** — the bounded per-tenant queue admits exactly its
    bound under flood; everything else is shed with a machine-readable
    429 and counted, and accepted work still completes correctly.
+4. **Fairness** — tenant ops run on the event loop, one hop at a time:
+   a backlog on one tenant delays another tenant's request by at most
+   one hop, never by the whole backlog.
 """
 
 import asyncio
@@ -259,3 +262,43 @@ class TestBackpressure:
             got = {k: v for k, v in response.items()
                    if k in expected}
             assert got == expected
+
+
+class TestFairness:
+    def test_backlog_does_not_starve_another_tenant(self):
+        apps = build_tenant_apps(2)
+        busy, idle = (app.name for app in apps)
+        completed = []
+
+        async def scenario():
+            registry = ModelRegistry(None)
+            server = FleetServer(
+                build_fleet(apps, registry=registry, refit_interval=None),
+                registry,
+            )
+            await server.start()
+            # Submitted without yielding: the whole backlog is queued
+            # before either worker runs.
+            requests = [
+                {"op": "run", "app": busy, "cmdline": "-e search -b 2048",
+                 "seed": i, "id": f"run-{i}"}
+                for i in range(8)
+            ]
+            requests.append({"op": "predict", "app": idle,
+                             "cmdline": "-e render -b 512", "id": "predict"})
+            futures = []
+            for request in requests:
+                future = server.submit_nowait(request)
+                future.add_done_callback(
+                    lambda _, tag=request["id"]: completed.append(tag)
+                )
+                futures.append(future)
+            responses = await asyncio.gather(*futures)
+            await server.stop(persist=False)
+            return responses
+
+        responses = asyncio.run(scenario())
+        assert [r["status"] for r in responses] == [200] * 9
+        assert sorted(completed) == sorted(r["id"] for r in responses)
+        # The predict waits for the hop in progress, not for the backlog.
+        assert completed.index("predict") < completed.index("run-1")

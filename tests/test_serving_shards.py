@@ -1,6 +1,6 @@
 """Sharded multi-process serving: partition, router, death, identity.
 
-Four contracts (docs/serving.md, "Sharding and batching"):
+Five contracts (docs/serving.md, "Sharding and batching"):
 
 1. **Deterministic partition** — :func:`shard_of` is a pure function of
    the tenant name (sha256, never the salted ``hash()``), so a respawned
@@ -14,6 +14,9 @@ Four contracts (docs/serving.md, "Sharding and batching"):
 4. **Bit-identity at every shard count** — the sharded study replays one
    stream at 1/2 shards (and through a forced kill) and diffs every
    tenant's response stream against serial replay.
+5. **Write coalescing** — the router sends every request queued for a
+   shard in one write, and a worker sends the replies completed in one
+   event-loop pass in one write.
 """
 
 import asyncio
@@ -34,7 +37,12 @@ from repro.serving import (
     shard_of,
     shards,
 )
-from repro.serving.protocol import SHARD_CONTROL_OPS
+from repro.serving.protocol import (
+    SHARD_CONTROL_OPS,
+    SHARD_SHUTDOWN_OP,
+    decode_line,
+    encode_line,
+)
 from repro.serving.server import BATCH_MAX
 
 pytestmark = pytest.mark.serve
@@ -269,6 +277,98 @@ class TestOverlongLines:
             "shard-respawn"
         ]
         assert stop_s < shards.SPAWN_TIMEOUT_S
+
+
+def _count_writes(monkeypatch) -> list:
+    """Record ``(writer, data)`` for every ``StreamWriter.write`` call."""
+    writes = []
+    original = asyncio.StreamWriter.write
+
+    def write(self, data):
+        writes.append((self, data))
+        return original(self, data)
+
+    monkeypatch.setattr(asyncio.StreamWriter, "write", write)
+    return writes
+
+
+class TestWriteCoalescing:
+    def test_replies_completed_together_leave_in_one_write(
+        self, monkeypatch
+    ):
+        writes = _count_writes(monkeypatch)
+
+        async def scenario():
+            registry = ModelRegistry(None)
+            server = FleetServer(
+                build_fleet(build_tenant_apps(1), registry=registry,
+                            refit_interval=None),
+                registry,
+            )
+            await server.start()
+            tcp, finished = await shards.serve_pipelined(server)
+            async with tcp:
+                port = tcp.sockets[0].getsockname()[1]
+                reader, writer = await asyncio.open_connection(
+                    "127.0.0.1", port
+                )
+                # One predict hop's worth of requests, in one write.
+                writer.write(b"".join(
+                    encode_line(dict(PREDICT, rid=rid))
+                    for rid in range(BATCH_MAX)
+                ))
+                lines = [await reader.readline() for _ in range(BATCH_MAX)]
+                served = [data for who, data in writes if who is not writer]
+                writer.write(encode_line({"op": SHARD_SHUTDOWN_OP, "rid": -1}))
+                final = decode_line(await reader.readline())
+                await asyncio.wait_for(finished, 10)
+                writer.close()
+                await writer.wait_closed()
+            return lines, served, final
+
+        lines, served, final = asyncio.run(scenario())
+        replies = [decode_line(line) for line in lines]
+        assert sorted(reply["rid"] for reply in replies) == list(
+            range(BATCH_MAX)
+        )
+        assert all(reply["status"] == 200 for reply in replies)
+        assert len(served) == 1
+        assert served[0].count(b"\n") == BATCH_MAX
+        assert final["status"] == 200 and final["rid"] == -1
+
+    def test_requests_queued_together_leave_in_one_write(self, monkeypatch):
+        writes = _count_writes(monkeypatch)
+        count = 20
+
+        async def scenario():
+            router = ShardRouter(
+                build_tenant_apps, (1,), shards=1, registry_dir=None,
+                refit_interval=None,
+            )
+            await router.start()
+            try:
+                # Submitted without yielding: all queued when the shard's
+                # writer wakes.
+                futures = [
+                    router.submit_nowait(dict(PREDICT, id=i))
+                    for i in range(count)
+                ]
+                responses = await asyncio.wait_for(
+                    asyncio.gather(*futures), 30
+                )
+                sent = [
+                    data for who, data in writes
+                    if who is router._shards[0].writer
+                ]
+            finally:
+                await router.stop()
+            return responses, sent
+
+        responses, sent = asyncio.run(scenario())
+        assert [r["status"] for r in responses] == [200] * count
+        assert [r["id"] for r in responses] == list(range(count))
+        assert len(sent) == 1
+        assert sent[0].count(b"\n") == count
 
 
 class TestDeterministic429Ordering:
