@@ -10,7 +10,7 @@ Public surface::
     from repro.lang import compile_source, parse, tokenize
 """
 
-from .analysis import BUILTIN_ARITY, analyze
+from .codegen import BUILTIN_ARITY
 from .compiler import compile_source
 from .errors import LangError, LexError, ParseError, SemanticError
 from .lexer import tokenize
@@ -25,7 +25,6 @@ __all__ = [
     "SemanticError",
     "Token",
     "TokenKind",
-    "analyze",
     "compile_source",
     "parse",
     "tokenize",

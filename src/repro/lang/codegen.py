@@ -1,22 +1,64 @@
-"""MiniLang code generation: AST → VM bytecode.
+"""MiniLang code generation: AST → VM bytecode, checked on the way.
 
 Each function compiles to one :class:`~repro.vm.program.Method`. Local
 variables get dedicated slots (params first, then declarations in lexical
 order; shadowing allocates fresh slots). Short-circuit ``&&``/``||`` compile
 to branch sequences producing canonical 0/1 values. A trailing implicit
 ``return 0`` covers functions whose control flow reaches the end.
+
+The same walk makes the static checks, each a :class:`SemanticError` at
+the first fault in emission order:
+
+- duplicate functions, functions shadowing builtins, a missing entry
+  function (checked over the whole module before any body);
+- duplicate parameters; duplicate declarations within one scope;
+- undefined variables; assignment to undeclared names;
+- calls to unknown functions; arity mismatches (user functions, builtins,
+  and the ``array``/``len`` special forms);
+- ``break``/``continue`` outside loops.
+
+A ``for`` emits its init, condition, body and then its step, so a fault
+in the body is reported before one in the step.
 """
 
 from __future__ import annotations
 
 from ..vm.program import Method, MethodBuilder
 from . import ast
-from .analysis import BUILTIN_ARITY
 from .errors import SemanticError
+
+#: Builtin (intrinsic) functions visible to MiniLang programs, with arities.
+#: ``array`` and ``len`` are special forms compiled to dedicated opcodes.
+BUILTIN_ARITY: dict[str, int] = {
+    "burn": 1,
+    "alloc": 1,
+    "retain": 1,
+    "release": 1,
+    "print": 1,
+    "abs": 1,
+    "min": 2,
+    "max": 2,
+    "sqrt": 1,
+    "floor": 1,
+    "exp": 1,
+    "log": 1,
+    "sin": 1,
+    "cos": 1,
+    "rand": 0,
+    "randint": 2,
+    "itof": 1,
+    "ftoi": 1,
+    "array": 1,
+    "len": 1,
+}
 
 
 class _FunctionCodegen:
     def __init__(self, fn: ast.Function, signatures: dict[str, int]):
+        if len(set(fn.params)) != len(fn.params):
+            raise SemanticError(
+                f"duplicate parameter in {fn.name!r}", fn.line, fn.col
+            )
         self.fn = fn
         self.signatures = signatures
         self.builder = MethodBuilder(fn.name, num_params=len(fn.params))
@@ -33,17 +75,22 @@ class _FunctionCodegen:
         self._label_counter += 1
         return f"__{hint}_{self._label_counter}"
 
-    def _declare(self, name: str) -> int:
+    def _declare(self, stmt: ast.VarDecl) -> int:
+        scope = self.scopes[-1]
+        if stmt.name in scope:
+            raise SemanticError(
+                f"duplicate declaration of {stmt.name!r}", stmt.line, stmt.col
+            )
         slot = self.next_slot
         self.next_slot += 1
-        self.scopes[-1][name] = slot
+        scope[stmt.name] = slot
         return slot
 
-    def _lookup(self, name: str) -> int:
+    def _lookup(self, name: str, node: ast.Node, fault: str) -> int:
         for scope in reversed(self.scopes):
             if name in scope:
                 return scope[name]
-        raise SemanticError(f"undefined variable {name!r}")  # pragma: no cover
+        raise SemanticError(f"{fault} {name!r}", node.line, node.col)
 
     # -- entry -------------------------------------------------------------
     def generate(self) -> Method:
@@ -65,10 +112,11 @@ class _FunctionCodegen:
         b = self.builder
         if isinstance(stmt, ast.VarDecl):
             self._gen_expr(stmt.init)
-            b.store(self._declare(stmt.name))
+            b.store(self._declare(stmt))
         elif isinstance(stmt, ast.Assign):
+            slot = self._lookup(stmt.name, stmt, "assignment to undeclared variable")
             self._gen_expr(stmt.value)
-            b.store(self._lookup(stmt.name))
+            b.store(slot)
         elif isinstance(stmt, ast.IndexAssign):
             self._gen_expr(stmt.array)
             self._gen_expr(stmt.index)
@@ -91,11 +139,13 @@ class _FunctionCodegen:
             else:
                 self._gen_expr(stmt.value)
             b.ret()
-        elif isinstance(stmt, ast.Break):
-            b.jmp(self.loop_labels[-1][0])
-        elif isinstance(stmt, ast.Continue):
-            b.jmp(self.loop_labels[-1][1])
-        else:  # pragma: no cover
+        elif isinstance(stmt, (ast.Break, ast.Continue)):
+            word = "break" if isinstance(stmt, ast.Break) else "continue"
+            if not self.loop_labels:
+                raise SemanticError(f"{word} outside loop", stmt.line, stmt.col)
+            break_label, continue_label = self.loop_labels[-1]
+            b.jmp(break_label if word == "break" else continue_label)
+        else:  # pragma: no cover - the parser produces no other statements
             raise SemanticError(f"cannot generate {type(stmt).__name__}")
 
     def _gen_if(self, stmt: ast.If) -> None:
@@ -166,7 +216,7 @@ class _FunctionCodegen:
         if isinstance(expr, (ast.IntLit, ast.FloatLit)):
             b.const(expr.value)
         elif isinstance(expr, ast.Name):
-            b.load(self._lookup(expr.ident))
+            b.load(self._lookup(expr.ident, expr, "undefined variable"))
         elif isinstance(expr, ast.Unary):
             self._gen_expr(expr.operand)
             if expr.op == "-":
@@ -186,7 +236,7 @@ class _FunctionCodegen:
             b.aload()
         elif isinstance(expr, ast.Call):
             self._gen_call(expr)
-        else:  # pragma: no cover
+        else:  # pragma: no cover - the parser produces no other expressions
             raise SemanticError(f"cannot generate {type(expr).__name__}")
 
     def _gen_shortcircuit(self, expr: ast.Binary) -> None:
@@ -213,20 +263,43 @@ class _FunctionCodegen:
     def _gen_call(self, expr: ast.Call) -> None:
         b = self.builder
         name = expr.callee
+        argc = len(expr.args)
+        expected = self.signatures.get(name, BUILTIN_ARITY.get(name))
+        if expected is None:
+            raise SemanticError(
+                f"call to unknown function {name!r}", expr.line, expr.col
+            )
+        if argc != expected:
+            raise SemanticError(
+                f"{name!r} expects {expected} args, got {argc}", expr.line, expr.col
+            )
         for arg in expr.args:
             self._gen_expr(arg)
         if name in self.signatures:
-            b.call(name, len(expr.args))
+            b.call(name, argc)
         elif name == "array":
             b.newarr()
         elif name == "len":
             b.alen()
-        elif name in BUILTIN_ARITY:
-            b.intrin(name, len(expr.args))
-        else:  # pragma: no cover - analysis rejects unknown callees
-            raise SemanticError(f"unknown function {name!r}")
+        else:
+            b.intrin(name, argc)
 
 
-def generate_module(module: ast.Module, signatures: dict[str, int]) -> list[Method]:
-    """Generate methods for every function in *module*."""
+def generate_module(module: ast.Module, entry: str) -> list[Method]:
+    """Check *module* and generate one method per function.
+
+    The function table (name → arity) is checked and built first, so a
+    call may name a function defined later in the module.
+    """
+    signatures: dict[str, int] = {}
+    for fn in module.functions:
+        if fn.name in signatures:
+            raise SemanticError(f"duplicate function {fn.name!r}", fn.line, fn.col)
+        if fn.name in BUILTIN_ARITY:
+            raise SemanticError(
+                f"function {fn.name!r} shadows a builtin", fn.line, fn.col
+            )
+        signatures[fn.name] = len(fn.params)
+    if entry not in signatures:
+        raise SemanticError(f"entry function {entry!r} not defined")
     return [_FunctionCodegen(fn, signatures).generate() for fn in module.functions]

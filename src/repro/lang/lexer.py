@@ -2,8 +2,17 @@
 
 from __future__ import annotations
 
+import string
+
 from .errors import LexError
 from .tokens import KEYWORDS, Token, TokenKind
+
+# MiniLang source is ASCII. ``str.isdigit`` and ``str.isalpha`` also accept
+# ``²``, ``١`` or ``é``, which ``int()``/``float()`` reject or the identifier
+# grammar excludes; any such character is an "unexpected character".
+_DIGITS = frozenset(string.digits)
+_IDENT_START = frozenset(string.ascii_letters + "_")
+_IDENT_CHARS = _IDENT_START | _DIGITS
 
 _TWO_CHAR = {
     "==": TokenKind.EQ,
@@ -60,13 +69,13 @@ def tokenize(source: str) -> list[Token]:
                 i += 1
             continue
         # Numbers
-        if ch.isdigit() or (ch == "." and i + 1 < n and source[i + 1].isdigit()):
+        if ch in _DIGITS or (ch == "." and i + 1 < n and source[i + 1] in _DIGITS):
             start, start_col = i, col
             seen_dot = False
-            while i < n and (source[i].isdigit() or (source[i] == "." and not seen_dot)):
+            while i < n and (source[i] in _DIGITS or (source[i] == "." and not seen_dot)):
                 if source[i] == ".":
                     # Guard: "1." followed by non-digit is an int then an error
-                    if i + 1 >= n or not source[i + 1].isdigit():
+                    if i + 1 >= n or source[i + 1] not in _DIGITS:
                         break
                     seen_dot = True
                 i += 1
@@ -78,9 +87,9 @@ def tokenize(source: str) -> list[Token]:
                 tokens.append(Token(TokenKind.INT, text, line, start_col, int(text)))
             continue
         # Identifiers / keywords
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             start, start_col = i, col
-            while i < n and (source[i].isalnum() or source[i] == "_"):
+            while i < n and source[i] in _IDENT_CHARS:
                 i += 1
             text = source[start:i]
             col += i - start

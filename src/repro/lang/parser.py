@@ -15,16 +15,19 @@ Grammar (EBNF) ::
     return     := 'return' expr? ';'
     simple     := var_decl_nosemi | assignment_nosemi | expr
     assign_or_expr := lvalue '=' expr ';' | expr ';'
-    expr       := or
-    or         := and ('||' and)*
-    and        := equality ('&&' equality)*
-    equality   := relational (('=='|'!=') relational)*
-    relational := additive (('<'|'<='|'>'|'>=') additive)*
-    additive   := term (('+'|'-') term)*
-    term       := unary (('*'|'/'|'%') unary)*
-    unary      := ('-'|'!') unary | postfix
-    postfix    := primary ('[' expr ']')*
+    expr       := unary (BINOP unary)*
+    unary      := ('-'|'!') unary | primary ('[' expr ']')*
     primary    := INT | FLOAT | IDENT | IDENT '(' args? ')' | '(' expr ')'
+
+``expr`` is one precedence-climbing loop over ``_BINARY_PREC``. Binary
+operators, loosest first; every level is left-associative::
+
+    1  ||
+    2  &&
+    3  ==  !=
+    4  <   <=  >   >=
+    5  +   -
+    6  *   /   %
 """
 
 from __future__ import annotations
@@ -34,6 +37,16 @@ from .errors import ParseError
 from .lexer import tokenize
 from .tokens import Token, TokenKind as K
 
+#: Binding power of each binary operator; the AST's ``op`` is ``kind.value``.
+_BINARY_PREC: dict[K, int] = {
+    K.OR: 1,
+    K.AND: 2,
+    K.EQ: 3, K.NE: 3,
+    K.LT: 4, K.LE: 4, K.GT: 4, K.GE: 4,
+    K.PLUS: 5, K.MINUS: 5,
+    K.STAR: 6, K.SLASH: 6, K.PERCENT: 6,
+}
+
 
 class Parser:
     def __init__(self, tokens: list[Token]):
@@ -41,8 +54,9 @@ class Parser:
         self._pos = 0
 
     # -- token helpers ----------------------------------------------------
-    def _peek(self, offset: int = 0) -> Token:
-        return self._tokens[min(self._pos + offset, len(self._tokens) - 1)]
+    def _peek(self) -> Token:
+        # The list ends in EOF, which _advance never steps past.
+        return self._tokens[self._pos]
 
     def _advance(self) -> Token:
         tok = self._tokens[self._pos]
@@ -154,7 +168,7 @@ class Parser:
         if tok.kind == K.VAR:
             return self._var_decl()
         # IDENT '=' → scalar assignment
-        if tok.kind == K.IDENT and self._peek(1).kind == K.ASSIGN:
+        if tok.kind == K.IDENT and self._tokens[self._pos + 1].kind == K.ASSIGN:
             name = self._advance()
             self._advance()  # '='
             value = self._expr()
@@ -219,44 +233,21 @@ class Parser:
         )
 
     # -- expressions ----------------------------------------------------------
-    def _expr(self) -> ast.Expr:
-        return self._or()
-
-    def _binary_level(self, sub, kinds: dict[K, str]) -> ast.Expr:
-        left = sub()
-        while self._peek().kind in kinds:
-            op_tok = self._advance()
-            right = sub()
+    def _expr(self, min_prec: int = 1) -> ast.Expr:
+        """Precedence climbing: a unary operand, then every binary operator
+        that binds at least *min_prec*; each right operand takes only the
+        operators that bind tighter, so every level is left-associative."""
+        left = self._unary()
+        while True:
+            tok = self._peek()
+            prec = _BINARY_PREC.get(tok.kind, 0)
+            if prec < min_prec:
+                return left
+            self._advance()
+            right = self._expr(prec + 1)
             left = ast.Binary(
-                op=kinds[op_tok.kind],
-                left=left,
-                right=right,
-                line=op_tok.line,
-                col=op_tok.col,
+                op=tok.kind.value, left=left, right=right, line=tok.line, col=tok.col
             )
-        return left
-
-    def _or(self) -> ast.Expr:
-        return self._binary_level(self._and, {K.OR: "||"})
-
-    def _and(self) -> ast.Expr:
-        return self._binary_level(self._equality, {K.AND: "&&"})
-
-    def _equality(self) -> ast.Expr:
-        return self._binary_level(self._relational, {K.EQ: "==", K.NE: "!="})
-
-    def _relational(self) -> ast.Expr:
-        return self._binary_level(
-            self._additive, {K.LT: "<", K.LE: "<=", K.GT: ">", K.GE: ">="}
-        )
-
-    def _additive(self) -> ast.Expr:
-        return self._binary_level(self._term, {K.PLUS: "+", K.MINUS: "-"})
-
-    def _term(self) -> ast.Expr:
-        return self._binary_level(
-            self._unary, {K.STAR: "*", K.SLASH: "/", K.PERCENT: "%"}
-        )
 
     def _unary(self) -> ast.Expr:
         tok = self._peek()
@@ -264,14 +255,8 @@ class Parser:
             self._advance()
             operand = self._unary()
             return ast.Unary(
-                op="-" if tok.kind == K.MINUS else "!",
-                operand=operand,
-                line=tok.line,
-                col=tok.col,
+                op=tok.kind.value, operand=operand, line=tok.line, col=tok.col
             )
-        return self._postfix()
-
-    def _postfix(self) -> ast.Expr:
         expr = self._primary()
         while self._check(K.LBRACKET):
             tok = self._advance()

@@ -31,7 +31,9 @@ Architecture (``docs/serving.md`` has the operator-facing picture):
   request) the tenant refits offline and flips its compiled forest
   pointer atomically; requests already executing finish on the old
   generation. Swaps happen inside the tenant's serialized stream, so
-  their position in the request order is deterministic too.
+  their position in the request order is deterministic too. An
+  automatic swap that raises lands in the registry's degradation
+  report; the tenant keeps serving its current generation.
 - **Startup surfacing**: the server refuses to come up silently
   degraded — :meth:`FleetServer.surface_startup` prints the registry's
   :class:`~repro.resilience.degradation.DegradationReport` summary on
@@ -172,19 +174,23 @@ class FleetServer:
         registry is loud here, never silent."""
         stream = stream if stream is not None else sys.stderr
         print(self.registry.describe_startup(), file=stream)
-        if self.telemetry is not None:
-            for event in self.registry.report.events:
-                self.telemetry.append(
-                    serve_event(
-                        "serve_degradation",
-                        component=event.component,
-                        action=event.action,
-                        reason=event.reason,
-                        detail=event.detail,
-                        path=event.path,
-                    )
-                )
+        for event in self.registry.report.events:
+            self._emit_degradation(event)
         return self.registry.startup_summary()
+
+    def _emit_degradation(self, event) -> None:
+        """Mirror one degradation record into telemetry."""
+        if self.telemetry is not None:
+            self.telemetry.append(
+                serve_event(
+                    "serve_degradation",
+                    component=event.component,
+                    action=event.action,
+                    reason=event.reason,
+                    detail=event.detail,
+                    path=event.path,
+                )
+            )
 
     async def drain(self) -> None:
         """Wait until every accepted request has been answered."""
@@ -357,9 +363,19 @@ class FleetServer:
                     ok_response(request, wall_ms=wall_ms, **payload)
                 )
         # Auto-swap sits inside the tenant's serialized stream, so its
-        # position in the request order is deterministic.
+        # position in the request order is deterministic. The run is
+        # already answered: a failed swap degrades (the tenant keeps its
+        # current generation, and the next run tries again), it never
+        # ends the tenant's worker.
         if op == "run" and tenant.due_for_swap():
-            self._swap(tenant)
+            try:
+                self._swap(tenant)
+            except Exception as exc:
+                self._emit_degradation(self.registry.report.record(
+                    "serving", "swap-failed", type(exc).__name__,
+                    detail=f"tenant {tenant.name}: automatic swap raised "
+                    f"{exc!r}; still serving generation {tenant.generation}",
+                ))
 
     def _run_op(self, tenant: Tenant, request: dict) -> dict:
         op = request["op"]

@@ -327,7 +327,8 @@ class ShardRouter:
         }
         self._mp = multiprocessing.get_context("fork")
         self._shards = [_Shard(i) for i in range(self.shard_count)]
-        self._tenant_names: list[str] = []
+        #: Tenant name → its shard (``shard_of``), fixed at start().
+        self._placement: dict[str, _Shard] = {}
         self._next_rid = 0
         self._started = False
         self._stopping = False
@@ -336,9 +337,10 @@ class ShardRouter:
     async def start(self) -> None:
         if self._started:
             return
-        self._tenant_names = sorted(
-            app.name for app in self.factory(*self.factory_args)
-        )
+        self._placement = {
+            name: self._shards[shard_of(name, self.shard_count)]
+            for name in sorted(app.name for app in self.factory(*self.factory_args))
+        }
         await asyncio.gather(
             *(self._spawn(shard) for shard in self._shards)
         )
@@ -417,13 +419,12 @@ class ShardRouter:
             return future
         if request["op"] == "stats":
             return asyncio.ensure_future(self._merged_stats(request))
-        app = request["app"]
-        if app not in self._tenant_names:
+        shard = self._placement.get(request["app"])
+        if shard is None:
             future.set_result(
-                unknown_tenant_response(request, self._tenant_names)
+                unknown_tenant_response(request, list(self._placement))
             )
             return future
-        shard = self._shards[shard_of(app, self.shard_count)]
         shard.outbound.put_nowait((request, future))
         return future
 

@@ -1,18 +1,19 @@
-"""Unit tests for MiniLang semantic analysis."""
+"""Unit tests for MiniLang's static checks, which code generation makes."""
 
 import pytest
 
-from repro.lang import SemanticError, analyze, parse
+from repro.lang import SemanticError, compile_source
 
 
 def check(source, entry="main"):
-    return analyze(parse(source), entry=entry)
+    return compile_source(source, entry=entry)
 
 
 class TestFunctionLevel:
-    def test_signature_table_returned(self):
-        sigs = check("fn f(a, b) { return 0; } fn main() { return f(1, 2); }")
-        assert sigs == {"f": 2, "main": 0}
+    def test_each_method_keeps_its_arity(self):
+        program = check("fn f(a, b) { return 0; } fn main() { return f(1, 2); }")
+        assert program.method("f").num_params == 2
+        assert program.method("main").num_params == 0
 
     def test_duplicate_function_rejected(self):
         with pytest.raises(SemanticError, match="duplicate function"):
@@ -92,3 +93,34 @@ class TestLoopControl:
         check(
             "fn main() { while (1) { for (;;) { break; } break; } return 0; }"
         )
+
+
+class TestEmissionOrder:
+    """Checks run in the order code is emitted: a ``for`` body before its step."""
+
+    def test_body_fault_reported_before_step_fault(self):
+        source = (
+            "fn main() {\n"
+            "  for (var i = 0; i < 3; i = ghost) {\n"
+            "    burn(1, 2);\n"
+            "  }\n"
+            "  return 0;\n"
+            "}\n"
+        )
+        with pytest.raises(SemanticError) as info:
+            check(source)
+        assert str(info.value) == "'burn' expects 1 args, got 2 (line 3, col 5)"
+
+    def test_step_fault_reported_when_body_is_sound(self):
+        with pytest.raises(SemanticError, match="undefined variable 'ghost'"):
+            check(
+                "fn main() { for (var i = 0; i < 3; i = ghost) { burn(1); } return 0; }"
+            )
+
+    def test_step_declaration_not_visible_in_body(self):
+        # The step runs after the body, so the body cannot read what it declares.
+        with pytest.raises(SemanticError) as info:
+            check(
+                "fn main() { for (var i = 0; i < 3; var j = 1) { burn(j); } return 0; }"
+            )
+        assert str(info.value) == "undefined variable 'j' (line 1, col 54)"

@@ -80,3 +80,20 @@ class TestTokens:
     def test_underscore_identifiers(self):
         tokens = tokenize("_x x_1 __weird__")
         assert all(t.kind == TokenKind.IDENT for t in tokens[:-1])
+
+    @pytest.mark.parametrize(
+        "source, bad, col",
+        [
+            ("fn main() { return ²; }", "²", 20),  # int() would reject it
+            ("fn main() { return 3.²; }", ".", 21),  # float() would reject "3.²"
+            ("fn main() { var é = 1; }", "é", 17),
+            ("fn main() { return ١٢; }", "١", 20),
+        ],
+        ids=["superscript-digit", "float-superscript", "letter", "arabic-digits"],
+    )
+    def test_only_ascii_letters_and_digits(self, source, bad, col):
+        # docs/minilang.md: identifiers are [A-Za-z_][A-Za-z0-9_]*, numbers
+        # ASCII digits; every other character is a LexError, a LangError.
+        with pytest.raises(LexError) as err:
+            tokenize(source)
+        assert str(err.value) == f"unexpected character {bad!r} (line 1, col {col})"

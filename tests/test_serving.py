@@ -299,6 +299,60 @@ class TestBoundedStats:
         assert after == before
 
 
+@pytest.mark.serve
+class TestAutoSwapFailure:
+    def test_failed_auto_swap_degrades_and_the_tenant_keeps_serving(
+        self, toy_app, tmp_path, monkeypatch
+    ):
+        """An exception from the swap that follows a run is recorded as a
+        degradation; the tenant's worker lives on and answers every later
+        request. An explicit ``swap`` still answers 500."""
+        registry = ModelRegistry(None)
+        tenant = Tenant(toy_app, registry=registry, refit_interval=2)
+
+        def failing_swap():
+            raise OSError("registry volume is read-only")
+
+        monkeypatch.setattr(tenant, "swap", failing_swap)
+        log = TelemetryLog(tmp_path / "serve.jsonl")
+
+        async def scenario():
+            server = FleetServer([tenant], registry, telemetry=log)
+            await server.start()
+            responses = []
+            for request in [
+                {"op": "run", "app": "toy", "cmdline": TRAIN[i], "seed": i}
+                for i in range(4)
+            ] + [{"op": "swap", "app": "toy"}, {"op": "predict", "app": "toy",
+                                                 "cmdline": TRAIN[0]}]:
+                responses.append(
+                    await asyncio.wait_for(server.submit(request), timeout=5)
+                )
+            alive = not any(task.done() for task in server._worker_tasks)
+            await server.stop(persist=False)
+            return responses, alive
+
+        responses, alive = asyncio.run(scenario())
+        log.close()
+        assert [r["status"] for r in responses] == [200, 200, 200, 200, 500, 200]
+        assert alive
+        assert tenant.generation == 0
+        [event] = registry.report.events
+        assert (event.component, event.action, event.reason) == (
+            "serving", "swap-failed", "OSError"
+        )
+        # Run 2 made the swap due; runs 3 and 4 retried it.
+        assert registry.report.occurrences(event) == 3
+        events = [
+            json.loads(line)
+            for line in (tmp_path / "serve.jsonl").read_text().splitlines()
+        ]
+        degradations = [e for e in events if e["event"] == "serve_degradation"]
+        assert len(degradations) == 3
+        for event in events:
+            assert validate_event(event) == [], event
+
+
 class TestTcpTransport:
     def test_json_lines_round_trip(self, toy_app, tmp_path):
         async def scenario():

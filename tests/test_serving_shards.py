@@ -147,6 +147,48 @@ class TestShardRouter:
         # Shutdown returns the merged final payload.
         assert final["server"]["served"] >= 4
 
+    def test_placement_is_worked_out_once_at_start(self, monkeypatch):
+        """start() places each tenant with ``shard_of`` once; a request is
+        then routed (or answered 404) by one table lookup."""
+        placed = []
+        real_shard_of = shards.shard_of
+
+        def counting_shard_of(name, count):
+            placed.append(name)
+            return real_shard_of(name, count)
+
+        monkeypatch.setattr(shards, "shard_of", counting_shard_of)
+
+        async def scenario():
+            router = ShardRouter(
+                build_tenant_apps, (3,), shards=2, registry_dir=None,
+                refit_interval=None,
+            )
+            await router.start()
+            responses = [
+                await router.submit({
+                    "op": "predict", "app": app, "cmdline": cmdline,
+                })
+                for app, cmdline in [
+                    ("search-svc", "-e search -b 512"),
+                    ("stats-svc", "-e stats -b 2048"),
+                    ("ghost", "-e search -b 512"),
+                ] * 3
+            ]
+            stats = await router.submit({"op": "stats"})
+            await router.stop()
+            return responses, stats
+
+        responses, stats = asyncio.run(scenario())
+        assert [r["status"] for r in responses] == [200, 200, 404] * 3
+        # The router's calls only: the workers run in other processes.
+        assert sorted(placed) == sorted(app.name for app in build_tenant_apps(3))
+        for shard in stats["shards"]:
+            assert shard["tenants"] == sorted(
+                name for name in placed
+                if real_shard_of(name, 2) == shard["shard"]
+            )
+
     def test_kill_respawn_serves_same_tenants(self, tmp_path):
         async def scenario():
             router = ShardRouter(
