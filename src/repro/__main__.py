@@ -435,7 +435,7 @@ def main(argv: list[str] | None = None) -> int:
         for failure in report.failures:
             print(f"  failed cell: {failure.describe()}", file=sys.stderr)
         if cache is not None:
-            print(f"cache: {cache.stats.describe()}")
+            print(f"cache: {cache.store.describe()}")
         if telemetry is not None:
             telemetry.close()
             print(

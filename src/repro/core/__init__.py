@@ -22,7 +22,6 @@ from .gc_selection import GCDecision, GCSelector
 from .model_builder import ModelBuilder
 from .predictor import OverheadModel, StrategyPredictor
 from .records import (
-    RunRecord,
     load_state,
     load_state_file,
     save_state,
@@ -42,7 +41,6 @@ __all__ = [
     "OverheadModel",
     "RepVM",
     "RunOutcome",
-    "RunRecord",
     "StrategyPredictor",
     "load_state",
     "load_state_file",

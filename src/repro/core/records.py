@@ -3,8 +3,9 @@
 The paper's VM evolves across *production runs* — separate process
 lifetimes. This module serializes what must survive: the per-method
 training datasets (feature rows + ideal levels) and the confidence value.
-Models are rebuilt from data on load (they are cheap to refit and this
-keeps the format version-stable).
+A serving tenant's record also carries its generation and rollback
+counters, in the same payload. Models are rebuilt from data on load
+(they are cheap to refit and this keeps the format version-stable).
 
 State is persisted through the crash-safe envelope
 (:mod:`repro.resilience.envelope`): atomic publish, versioned header,
@@ -22,7 +23,6 @@ half-restored.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 
 from ..aos.strategy import LevelStrategy
 from ..resilience.degradation import DegradationReport
@@ -41,34 +41,6 @@ FORMAT_VERSION = 1
 
 #: Envelope kind tag for persisted VM state.
 STATE_KIND = "vm-state"
-
-
-@dataclass(frozen=True)
-class RunRecord:
-    """A compact, serializable summary of one evolvable run."""
-
-    run_index: int
-    cmdline: str
-    total_cycles: float
-    overhead_cycles: float
-    accuracy: float | None
-    confidence_after: float | None
-    applied_prediction: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "run_index": self.run_index,
-            "cmdline": self.cmdline,
-            "total_cycles": self.total_cycles,
-            "overhead_cycles": self.overhead_cycles,
-            "accuracy": self.accuracy,
-            "confidence_after": self.confidence_after,
-            "applied_prediction": self.applied_prediction,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
-        return cls(**data)
 
 
 def state_to_dict(vm: EvolvableVM) -> dict:
@@ -113,6 +85,11 @@ def _stage_state(vm: EvolvableVM, state: dict):
         )
     confidence = float(state["confidence"])
     run_count = int(state["run_count"])
+    counters = state.get("counters", {})
+    if not isinstance(counters, dict) or not all(
+        type(value) is int for value in counters.values()
+    ):
+        raise ValueError(f"malformed counters {counters!r}")
     observations: list[tuple[FeatureVector, LevelStrategy]] = []
     for method, payload in state["methods"].items():
         columns = payload["columns"]
@@ -174,14 +151,21 @@ def save_state(
     *,
     fs: FileSystem = REAL_FS,
     report: DegradationReport | None = None,
+    counters: dict[str, int] | None = None,
 ) -> bool:
     """Atomically persist *vm*'s learned state inside an envelope.
 
-    Returns ``True`` on success. An I/O failure (full disk, stale lock)
-    is not fatal to the VM — learning simply does not persist this run;
-    the failure is recorded in *report* and ``False`` is returned.
+    *counters* (a serving tenant's generation and rollback count) are
+    published in the same payload, so they can never disagree with the
+    model they name. Returns ``True`` on success. An I/O failure (full
+    disk, stale lock) is not fatal to the VM — learning simply does not
+    persist this run; the failure is recorded in *report* and ``False``
+    is returned.
     """
-    payload = json.dumps(state_to_dict(vm), sort_keys=True).encode("utf-8")
+    state = state_to_dict(vm)
+    if counters:
+        state["counters"] = counters
+    payload = json.dumps(state, sort_keys=True).encode("utf-8")
     try:
         fs.write_bytes_atomic(path, encode_envelope(payload, STATE_KIND))
     except OSError as exc:
@@ -200,15 +184,15 @@ def load_state_file(
     *,
     fs: FileSystem = REAL_FS,
     report: DegradationReport | None = None,
-) -> bool:
+) -> dict | None:
     """Restore *vm* from *path*; never raises on a bad or missing file.
 
-    Returns ``True`` when state was fully restored. Any failure — missing
-    file, I/O error, torn/bit-flipped envelope, invalid JSON, wrong
-    application, malformed rows — leaves the VM exactly as constructed
-    (empty records: the reactive adaptive optimizer runs, the paper's
-    low-confidence path), quarantines the offending file, and records the
-    fallback in *report*.
+    Returns the restored state, counters included, or ``None``. Any
+    failure — missing file, I/O error, torn/bit-flipped envelope, invalid
+    JSON, wrong application, malformed rows or counters — leaves the VM
+    exactly as constructed (empty records: the reactive adaptive
+    optimizer runs, the paper's low-confidence path), quarantines the
+    offending file, and records the fallback in *report*.
 
     Plain-JSON state files written before the envelope existed still
     load (legacy fallback), so upgrading does not discard learning.
@@ -222,14 +206,14 @@ def load_state_file(
                 detail="no state file; starting with empty records",
                 path=path,
             )
-        return False
+        return None
     except OSError as exc:
         if report is not None:
             report.record(
                 "state", "cold-start", type(exc).__name__,
                 detail=str(exc), path=path,
             )
-        return False
+        return None
 
     reason, detail = "corrupt", ""
     try:
@@ -245,7 +229,7 @@ def load_state_file(
                 raise
         state = json.loads(payload)
         load_state(vm, state)
-        return True
+        return state
     except EnvelopeError as exc:
         detail = str(exc)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -265,4 +249,4 @@ def load_state_file(
             "(reactive adaptive optimizer)",
             path=path,
         )
-    return False
+    return None

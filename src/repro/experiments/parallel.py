@@ -400,8 +400,9 @@ def map_parallel(worker, items: list, jobs: int) -> tuple[list, bool]:
     :func:`run_sweep`'s resilient cell executor instead (behaviour
     documented in ``docs/robustness.md``). Direct callers today are the
     fuzz harness (iteration chunks), the data forge (program chunks) and
-    :meth:`~repro.core.model_builder.ModelBuilder.refit_all`, which the
-    serving layer uses for offline refits between hot model swaps.
+    :meth:`~repro.core.model_builder.ModelBuilder.refit_all`, which fans
+    out here only with ``jobs > 1``. Only the forge's prior training
+    passes that; serving refits run serially in the tenant's own stream.
     """
     if not items:
         return [], False

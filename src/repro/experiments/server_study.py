@@ -322,9 +322,10 @@ def run_requests_serial(
     shard worker death at a quiesced boundary: before processing
     ``requests[request_index]``, every tenant hashing into
     *shard_index* (:func:`~repro.serving.shards.shard_of`) is torn down
-    and rebuilt from *registry_dir* — state-file restore plus generation
-    sidecar, exactly what a respawned worker does — so un-persisted
-    learning since the last swap is lost on both sides identically.
+    and rebuilt from *registry_dir* — each tenant's state record, model
+    and generation together, as a respawned worker restores it — so
+    un-persisted learning since the last swap is lost on both sides
+    identically.
     Kill modeling requires a real *registry_dir* (swap-point saves are
     what the rebuilt tenants restore from).
     """

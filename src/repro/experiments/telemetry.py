@@ -32,21 +32,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 from ..resilience.degradation import DegradationReport
-from ..resilience.envelope import (
-    REAL_FS,
-    EnvelopeError,
-    FileSystem,
-    encode_envelope,
-    decode_envelope,
-)
-from ..resilience.quarantine import quarantine_file
+from ..resilience.envelope import REAL_FS, FileSystem
+from ..resilience.store import EntryStore
 
 #: Bumped whenever an event's required fields change.
 TELEMETRY_SCHEMA_VERSION = 1
@@ -487,33 +480,15 @@ class CacheKey:
         return f"{self.benchmark}-{self.scenario}-{self.start}-{self.stop}-{tag}.pkl"
 
 
-@dataclass
-class CacheStats:
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    quarantined: int = 0
-    store_failures: int = 0
-
-    def describe(self) -> str:
-        extra = ""
-        if self.quarantined:
-            extra += f", {self.quarantined} quarantined"
-        if self.store_failures:
-            extra += f", {self.store_failures} store failure(s)"
-        return f"{self.hits} hit(s), {self.misses} miss(es){extra}"
-
-
 class ResultCache:
     """Pickle-per-cell result cache under one root directory.
 
     Entries are immutable: a key fully determines its outcomes, so a hit
-    is always safe to reuse. Entries live inside the crash-safe envelope
-    (atomic publish + checksum), so a torn write, bit flip, or stale
-    partial file can never surface as a wrong payload: any entry that
-    fails verification is quarantined and reported as a **miss** — the
-    cell simply re-executes. Store failures (full disk) are likewise
-    non-fatal: the sweep continues uncached.
+    is always safe to reuse. The entries live in an
+    :class:`~repro.resilience.store.EntryStore`, so a torn write, bit
+    flip, or stale partial file is quarantined and reported as a
+    **miss** (the cell simply re-executes), and a store failure (full
+    disk) leaves the sweep running uncached.
     """
 
     def __init__(
@@ -524,59 +499,17 @@ class ResultCache:
         report: DegradationReport | None = None,
     ):
         self.root = Path(root)
-        self.fs = fs
-        self.report = report
-        self.stats = CacheStats()
+        self.store = EntryStore(
+            self.root, kind=RESULT_KIND, component="result-cache",
+            fs=fs, report=report,
+        )
 
     def _path(self, key: CacheKey) -> Path:
-        return self.root / key.filename()
+        return self.store.path(key.filename())
 
     def get(self, key: CacheKey) -> dict | None:
         """The cached cell payload, or None on a miss."""
-        path = self._path(key)
-        try:
-            blob = self.fs.read_bytes(path)
-        except OSError:
-            self.stats.misses += 1
-            return None
-        try:
-            payload = pickle.loads(decode_envelope(blob, RESULT_KIND))
-        except (
-            EnvelopeError,
-            pickle.UnpicklingError,
-            EOFError,
-            AttributeError,
-            ValueError,
-        ) as exc:
-            reason = getattr(exc, "reason", type(exc).__name__)
-            quarantine_file(
-                path, reason, str(exc),
-                component="result-cache", fs=self.fs, report=self.report,
-            )
-            if self.report is not None:
-                self.report.record(
-                    "result-cache", "cache-miss", reason, path=str(path)
-                )
-            self.stats.quarantined += 1
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        return payload
+        return self.store.get(key.filename())
 
     def put(self, key: CacheKey, payload: dict) -> None:
-        path = self._path(key)
-        blob = encode_envelope(
-            pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL),
-            RESULT_KIND,
-        )
-        try:
-            self.fs.write_bytes_atomic(path, blob)
-        except OSError as exc:
-            self.stats.store_failures += 1
-            if self.report is not None:
-                self.report.record(
-                    "result-cache", "store-failed", type(exc).__name__,
-                    detail=str(exc), path=str(path),
-                )
-            return
-        self.stats.stores += 1
+        self.store.put(key.filename(), payload)

@@ -2,9 +2,13 @@
 
 Three pillars (see ``docs/robustness.md``):
 
-1. **Envelope** (:mod:`.envelope`) — every cross-run artifact (VM state,
-   JIT artifacts, result-cache cells) is persisted atomically inside a
-   versioned, checksummed envelope; loads verify before trusting.
+1. **Envelope** (:mod:`.envelope`) — every cross-run artifact (a VM's or
+   serving tenant's state record, JIT artifacts, result-cache cells) is
+   persisted atomically inside a versioned, checksummed envelope; loads
+   verify before trusting. The two caches keep their entries in one
+   :class:`EntryStore` (:mod:`.store`), the only implementation of the
+   regenerable-entry policy: a corrupt entry is a quarantined miss, a
+   failed store is recorded, an existing entry is never rewritten.
 2. **Quarantine + degradation** (:mod:`.quarantine`,
    :mod:`.degradation`) — a corrupt artifact is moved to a
    ``.quarantine/`` sibling with a machine-readable reason, and the
@@ -46,11 +50,13 @@ from .quarantine import (
     quarantine_dir,
     quarantine_file,
 )
+from .store import EntryStore
 
 __all__ = [
     "DegradationEvent",
     "DegradationReport",
     "ENVELOPE_VERSION",
+    "EntryStore",
     "EnvelopeError",
     "FaultPlan",
     "FaultyFS",

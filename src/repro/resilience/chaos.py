@@ -472,9 +472,11 @@ def _check_rollback_pillar(
     The invariant is *bit-identical-or-degraded, with every degradation
     recorded*: the in-memory rollback must reproduce the fault-free
     reference exactly (restores never touch disk), the rollback must be
-    accounted in the degradation ledger, and the persisted state file
-    must either reload to the serving VM's exact state or have a
-    recorded save failure / quarantine explaining why not.
+    accounted in the degradation ledger, and a fresh registry over the
+    same root must either restore the tenant's record (generation,
+    rollback count, confidence) exactly or have a recorded degradation
+    for the tenant's state explaining why not: its own failed load, or
+    a save that did not land.
     """
     registry = ModelRegistry(root / "serving", fs=fs, report=report)
     tenant, record = _run_rollback_scenario(reference, registry)
@@ -497,25 +499,40 @@ def _check_rollback_pillar(
              "serving/rollback entry")
         )
     # Crash-safety of the persisted side: whatever the fault plan did to
-    # the saves, a fresh load must produce either the serving VM's exact
-    # state or an accounted fallback — never a silently different model.
-    state_path = registry.state_path(tenant.name)
+    # the saves, a fresh registry over the same root must restore the
+    # serving tenant's generation, rollback count and confidence. It may
+    # come up otherwise only with a degradation for the tenant's state
+    # on record: a failed load records its own, and an older record
+    # restores only after a save of this state failed.
+    fresh = ModelRegistry(registry.root, fs=fs, report=report)
     vm2 = EvolvableVM(reference.app)
-    loaded = load_state_file(vm2, str(state_path), fs=fs, report=report)
-    if loaded:
-        if (
-            vm2.confidence.value != tenant.vm.confidence.value
-            and report.count(component="state", action="store-failed") == 0
-        ):
+    recorded = report.count(component="state")
+    if not fresh.load_into(vm2):
+        if report.count(component="state") == recorded:
             violations.append(
-                ("divergence",
-                 "reloaded post-rollback state differs from the serving VM "
-                 "with no recorded save failure")
+                ("missing-degradation",
+                 "post-rollback tenant record failed to load with nothing "
+                 "recorded")
             )
-    elif report.count(component="state") == 0:
+        return
+    name = tenant.name
+    state_path = str(registry.state_path(name))
+    reloaded = (
+        fresh.generations[name], fresh.rollbacks[name], vm2.confidence.value
+    )
+    serving = (
+        tenant.generation, registry.rollbacks.get(name, 0),
+        tenant.vm.confidence.value,
+    )
+    if reloaded != serving and not any(
+        (event.component, event.action, event.path)
+        == ("state", "store-failed", state_path)
+        for event in report.events
+    ):
         violations.append(
-            ("missing-degradation",
-             "post-rollback state failed to load with nothing recorded")
+            ("divergence",
+             f"reloaded post-rollback tenant record {reloaded} differs from "
+             f"the serving tenant's {serving} with no recorded save failure")
         )
 
 

@@ -1,34 +1,35 @@
 """The per-application model registry behind the serving fleet.
 
-Each tenant's learned state (per-method training data + confidence) is
-persisted through the crash-safe resilience envelope — the same
-``vm-state`` artifacts :mod:`repro.core.records` writes for batch runs —
-one file per application under one registry root:
+Each tenant's **record** — its learned state (per-method training data +
+confidence) plus its generation and rollback counters — is persisted in
+one crash-safe resilience envelope, the same ``vm-state`` artifact
+:mod:`repro.core.records` writes for batch runs, one file per
+application under one registry root:
 
     <registry>/<app>.state
 
 Loading is quarantine-aware and never fatal: a missing, torn, or
 corrupted state file cold-starts that tenant with empty records (the
-paper's low-confidence path) while the file is moved to ``.quarantine/``
-with a machine-readable reason sidecar. Every such decision lands in the
-registry's :class:`~repro.resilience.degradation.DegradationReport`, and
+paper's low-confidence path) and generation 0, while the file is moved
+to ``.quarantine/`` with a machine-readable reason sidecar. Every such
+decision lands in the registry's
+:class:`~repro.resilience.degradation.DegradationReport`, and
 :meth:`ModelRegistry.startup_summary` condenses it so the server can
 refuse to boot *silently* degraded — ``repro serve`` prints the summary
 on stderr and emits it as a ``serve_degradation`` telemetry event.
 
-The registry also tracks the **model generation** per tenant: a counter
-bumped by every hot swap (offline ``refit_all`` + atomic forest-pointer
-flip). Responses carry the generation that served them, so operators can
-correlate behavior changes with swaps. Generations persist beside the
-state file in a per-tenant ``<app>.gen`` sidecar (atomic write, lenient
-read), one file per tenant so disjoint shard workers over one registry
-root never contend — a respawned shard restores both the model *and* the
-generation counter its responses must keep reporting.
+The **model generation** is a per-tenant counter bumped by every hot
+swap (offline ``refit_all`` + atomic forest-pointer flip) and every
+rollback. Responses carry the generation that served them, so operators
+can correlate behavior changes with swaps. A swap or rollback publishes
+the model and the generation that names it in one atomic write, so a
+respawned shard restores both or neither. Registries written before the
+counters moved into the envelope still restore their models; their
+counters restart at 0.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from pathlib import Path
 
@@ -39,9 +40,6 @@ from ..resilience.envelope import REAL_FS, FileSystem
 
 #: Filename suffix for per-tenant state artifacts.
 STATE_SUFFIX = ".state"
-
-#: Filename suffix for per-tenant generation sidecars.
-GENERATION_SUFFIX = ".gen"
 
 
 def _safe_name(app_name: str) -> str:
@@ -78,59 +76,6 @@ class ModelRegistry:
             return None
         return self.root / f"{_safe_name(app_name)}{STATE_SUFFIX}"
 
-    def generation_path(self, app_name: str) -> Path | None:
-        if self.root is None:
-            return None
-        return self.root / f"{_safe_name(app_name)}{GENERATION_SUFFIX}"
-
-    # -- generation persistence ----------------------------------------------
-    def _load_generation(self, app_name: str) -> None:
-        """Adopt the persisted generation counter, if any (never raises).
-
-        A missing sidecar is the normal cold start (counter 0); a torn
-        or unparseable one degrades to 0 with the decision recorded —
-        the model itself still restores, only the counter restarts.
-        """
-        path = self.generation_path(app_name)
-        if path is None or not self.fs.exists(path):
-            return
-        try:
-            payload = json.loads(self.fs.read_bytes(path).decode("utf-8"))
-            generation = int(payload["generation"])
-            rollbacks = int(payload.get("rollbacks", 0))
-        except Exception as exc:
-            self.report.record(
-                "registry", "generation-reset", "unreadable-sidecar",
-                detail=f"tenant {app_name}: {type(exc).__name__}: {exc}; "
-                "generation counter restarts at 0",
-                path=str(path),
-            )
-            return
-        self.generations[app_name] = generation
-        if rollbacks:
-            self.rollbacks[app_name] = rollbacks
-
-    def _persist_generation(self, app_name: str) -> None:
-        """Atomically publish the tenant's counters (I/O failures degrade,
-        they never take a swap down)."""
-        path = self.generation_path(app_name)
-        if path is None:
-            return
-        payload = {
-            "generation": self.generations.get(app_name, 0),
-            "rollbacks": self.rollbacks.get(app_name, 0),
-        }
-        try:
-            self.fs.write_bytes_atomic(
-                path, json.dumps(payload, sort_keys=True).encode("utf-8")
-            )
-        except OSError as exc:
-            self.report.record(
-                "registry", "generation-unsaved", "io-error",
-                detail=f"tenant {app_name}: {type(exc).__name__}: {exc}",
-                path=str(path),
-            )
-
     # -- startup ------------------------------------------------------------
     def load_into(self, vm: EvolvableVM) -> bool:
         """Restore *vm* from its tenant's state file (never raises).
@@ -141,22 +86,24 @@ class ModelRegistry:
         """
         name = vm.app.name
         self.generations.setdefault(name, 0)
-        self._load_generation(name)
         path = self.state_path(name)
-        if path is None:
-            self.cold_started.append(name)
-            return False
-        restored = load_state_file(
+        state = None if path is None else load_state_file(
             vm, str(path), fs=self.fs, report=self.report
         )
-        (self.restored if restored else self.cold_started).append(name)
-        return restored
+        if state is None:
+            self.cold_started.append(name)
+            return False
+        counters = state.get("counters", {})
+        self.generations[name] = counters.get("generation", 0)
+        self.rollbacks[name] = counters.get("rollbacks", 0)
+        self.restored.append(name)
+        return True
 
     # -- swap + persistence --------------------------------------------------
     def note_swap(self, app_name: str) -> int:
-        """Bump, persist, and return the tenant's model generation."""
+        """Bump and return the tenant's model generation; the next
+        :meth:`save` publishes it with the model."""
         self.generations[app_name] = self.generations.get(app_name, 0) + 1
-        self._persist_generation(app_name)
         return self.generations[app_name]
 
     def note_rollback(self, app_name: str) -> int:
@@ -172,12 +119,20 @@ class ModelRegistry:
         return self.note_swap(app_name)
 
     def save(self, vm: EvolvableVM) -> bool:
-        """Persist *vm*'s learned state; I/O failures degrade (recorded),
-        they never take the serving loop down."""
-        path = self.state_path(vm.app.name)
+        """Persist *vm*'s learned state with its tenant's generation and
+        rollback counters, in one publish; I/O failures degrade
+        (recorded), they never take the serving loop down."""
+        name = vm.app.name
+        path = self.state_path(name)
         if path is None:
             return False
-        return save_state(vm, str(path), fs=self.fs, report=self.report)
+        counters = {
+            "generation": self.generations.get(name, 0),
+            "rollbacks": self.rollbacks.get(name, 0),
+        }
+        return save_state(
+            vm, str(path), fs=self.fs, report=self.report, counters=counters
+        )
 
     # -- observability -------------------------------------------------------
     def startup_summary(self) -> dict:

@@ -365,8 +365,8 @@ class FleetServer:
         # Auto-swap sits inside the tenant's serialized stream, so its
         # position in the request order is deterministic. The run is
         # already answered: a failed swap degrades (the tenant keeps its
-        # current generation, and the next run tries again), it never
-        # ends the tenant's worker.
+        # current generation, and tries again after another refit
+        # interval), it never ends the tenant's worker.
         if op == "run" and tenant.due_for_swap():
             try:
                 self._swap(tenant)

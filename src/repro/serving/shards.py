@@ -11,9 +11,9 @@ that ceiling without changing any per-tenant semantics:
   respawned worker always owns exactly the tenants its predecessor did).
   All workers share one crash-safe
   :class:`~repro.serving.registry.ModelRegistry` root: tenant ownership
-  is disjoint, so state files and per-tenant generation sidecars never
-  contend, and hot swaps/rollbacks publish through the same envelope
-  they do single-process.
+  is disjoint, so per-tenant state records never contend, and hot
+  swaps/rollbacks publish through the same envelope they do
+  single-process.
 - **Router**: an asyncio front end holding one *pipelined* JSONL
   connection per worker. Every request is tagged with a ``rid`` (see
   :mod:`repro.serving.protocol`); per-tenant ordering is preserved

@@ -10,7 +10,7 @@ model construction happens only at an explicit **swap** point:
 
     swap = offline ``refit_all`` + one atomic flip of the compiled
     :class:`~repro.learning.flat.FlatForest` pointer + a registry
-    generation bump + a crash-safe state save.
+    generation bump + one crash-safe save of the state and generation.
 
 The flip is a single attribute assignment of a fully-built immutable
 forest, so a prediction in flight reads either the old generation or the
@@ -221,11 +221,13 @@ class Tenant:
             if self._recent_acc
             else None
         )
+        # Count the attempt before the refit: a swap that raises is
+        # retried after another refit interval, not after every run.
+        runs = self.runs_since_swap
+        self.runs_since_swap = 0
         self.vm.models.refit_all()
         generation = self.registry.note_swap(self.name)
         saved = self.registry.save(self.vm)
-        runs = self.runs_since_swap
-        self.runs_since_swap = 0
         self.swaps_total += 1
         if self.probation_window is not None and baseline is not None:
             self._probation = {

@@ -26,29 +26,22 @@ run's virtual clock exactly what a fresh compile would have: wall-clock
 changes, virtual-cycle results do not. This is asserted by the equivalence
 tests and is what makes the cache safe to enable under ``repro sweep``.
 
-Disk entries ride the shared crash-safe envelope
-(:mod:`repro.resilience.envelope`): atomic write-temp-then-rename publish
-plus a content checksum, so concurrent sweep workers can share one
-directory and a torn or bit-flipped entry is at worst a **miss** (the
-corrupt file is quarantined), never a corrupt hit. Store failures (full
-disk) silently skip persistence — the in-memory layer still serves.
+Disk entries live in the store the result cache uses too
+(:mod:`repro.resilience.store`): enveloped, published atomically, and
+checksummed, so concurrent sweep workers can share one directory and a
+torn or bit-flipped entry is at worst a **miss** (the corrupt file is
+quarantined), never a corrupt hit. Store failures (full disk) skip
+persistence — the in-memory layer still serves.
 """
 
 from __future__ import annotations
 
 import hashlib
-import pickle
 from pathlib import Path
 
 from ...resilience.degradation import DegradationReport
-from ...resilience.envelope import (
-    REAL_FS,
-    EnvelopeError,
-    FileSystem,
-    encode_envelope,
-    decode_envelope,
-)
-from ...resilience.quarantine import quarantine_file
+from ...resilience.envelope import REAL_FS, FileSystem
+from ...resilience.store import EntryStore
 from ..program import Method, Program
 
 #: Bump when the artifact layout changes incompatibly (invalidates disk
@@ -102,10 +95,11 @@ def artifact_key(
 class JITArtifactCache:
     """Shared artifact store: in-memory map plus optional disk layer.
 
-    Thread-unsafe by design (one per process); *processes* coordinate via
-    the disk layer's envelope (atomic renames + checksums), so concurrent
-    sweep workers can share one directory — a torn or concurrent write is
-    at worst a miss, never a corrupt hit.
+    Thread-unsafe by design (one per process); *processes* coordinate
+    through the disk layer, an :class:`~repro.resilience.store.EntryStore`
+    (atomic renames + checksums), so concurrent sweep workers can share
+    one directory — a torn or concurrent write is at worst a miss, never
+    a corrupt hit.
     """
 
     def __init__(
@@ -115,90 +109,41 @@ class JITArtifactCache:
         fs: FileSystem = REAL_FS,
         report: DegradationReport | None = None,
     ):
-        self.cache_dir = Path(cache_dir) if cache_dir is not None else None
-        self.fs = fs
-        self.report = report
-        if self.cache_dir is not None:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        self.disk: EntryStore | None = None
+        if cache_dir is not None:
+            Path(cache_dir).mkdir(parents=True, exist_ok=True)
+            self.disk = EntryStore(
+                cache_dir, kind=ARTIFACT_KIND, component="jit-cache",
+                fs=fs, report=report,
+            )
         self._memory: dict[str, object] = {}
         self.hits = 0
         self.misses = 0
-        self.disk_hits = 0
-        self.quarantined = 0
-
-    def _path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.pkl"
 
     def get(self, key: str):
         """Return the cached artifact for *key*, or ``None``."""
         artifact = self._memory.get(key)
-        if artifact is not None:
-            self.hits += 1
-            return artifact
-        if self.cache_dir is not None:
-            artifact = self._disk_get(key)
+        if artifact is None and self.disk is not None:
+            artifact = self.disk.get(f"{key}.pkl")
             if artifact is not None:
                 self._memory[key] = artifact
-                self.hits += 1
-                self.disk_hits += 1
-                return artifact
-        self.misses += 1
-        return None
-
-    def _disk_get(self, key: str):
-        path = self._path(key)
-        try:
-            blob = self.fs.read_bytes(path)
-        except OSError:
-            return None
-        try:
-            return pickle.loads(decode_envelope(blob, ARTIFACT_KIND))
-        except (
-            EnvelopeError,
-            pickle.PickleError,
-            EOFError,
-            AttributeError,
-            ValueError,
-        ) as exc:
-            reason = getattr(exc, "reason", type(exc).__name__)
-            quarantine_file(
-                path, reason, str(exc),
-                component="jit-cache", fs=self.fs, report=self.report,
-            )
-            if self.report is not None:
-                self.report.record(
-                    "jit-cache", "cache-miss", reason, path=str(path)
-                )
-            self.quarantined += 1
-            return None
+        if artifact is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return artifact
 
     def put(self, key: str, artifact) -> None:
         self._memory[key] = artifact
-        if self.cache_dir is None:
-            return
-        path = self._path(key)
-        if path.exists():
-            return
-        blob = encode_envelope(
-            pickle.dumps(artifact, protocol=pickle.HIGHEST_PROTOCOL),
-            ARTIFACT_KIND,
-        )
-        try:
-            self.fs.write_bytes_atomic(path, blob)
-        except OSError as exc:
-            # Persistence is an optimization; losing it costs recompiles,
-            # never correctness.
-            if self.report is not None:
-                self.report.record(
-                    "jit-cache", "store-failed", type(exc).__name__,
-                    detail=str(exc), path=str(path),
-                )
+        if self.disk is not None:
+            self.disk.put(f"{key}.pkl", artifact)
 
     def stats(self) -> dict[str, int]:
+        disk = self.disk
         return {
             "hits": self.hits,
             "misses": self.misses,
-            "disk_hits": self.disk_hits,
+            "disk_hits": disk.hits if disk is not None else 0,
             "entries": len(self._memory),
-            "quarantined": self.quarantined,
+            "quarantined": disk.quarantined if disk is not None else 0,
         }

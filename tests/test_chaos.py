@@ -146,6 +146,29 @@ class TestDriftChaos:
         assert any(kind == "divergence" for kind, _ in found)
 
 
+    def test_a_registry_restoring_a_wrong_generation_is_caught(
+        self, drift_reference, tmp_path, monkeypatch
+    ):
+        from repro.resilience import chaos
+
+        class ForgetfulRegistry(chaos.ModelRegistry):
+            def load_into(self, vm):
+                restored = super().load_into(vm)
+                self.generations[vm.app.name] = 0
+                return restored
+
+        monkeypatch.setattr(chaos, "ModelRegistry", ForgetfulRegistry)
+        found = []
+        _check_rollback_pillar(
+            drift_reference,
+            FaultyFS(FaultPlan(seed=0)),
+            DegradationReport(),
+            tmp_path / "forgetful",
+            found,
+        )
+        assert any(kind == "divergence" for kind, _ in found)
+
+
 class TestChaosCLI:
     def test_cli_green_run_exits_zero(self, capsys):
         code = main(["chaos", "--iterations", "2", "--runs", "2", "--seed", "1"])

@@ -163,7 +163,7 @@ class TestResultCache:
         )
         assert second.cells_executed == 0
         assert second.cells_cached == second.cells_total == first.cells_total
-        assert cache2.stats.hits == second.cells_total
+        assert cache2.store.hits == second.cells_total
 
         for scenario in ("default", "rep", "evolve"):
             assert_outcomes_identical(
@@ -181,7 +181,7 @@ class TestResultCache:
         run_sweep(
             [get_benchmark("Search")], jobs=1, seed=SEED + 1, runs=4, cache=other
         )
-        assert other.stats.hits == 0
+        assert other.store.hits == 0
 
     def test_corrupt_entry_treated_as_miss(self, tmp_path):
         cache = ResultCache(tmp_path / "cache")
@@ -190,7 +190,7 @@ class TestResultCache:
         cache.root.mkdir(parents=True)
         (cache.root / key.filename()).write_bytes(b"not a pickle")
         assert cache.get(key) is None
-        assert cache.stats.misses == 1
+        assert cache.store.misses == 1
 
 
 class TestTelemetry:

@@ -48,7 +48,7 @@ class TestResultCacheCorruption:
         corrupt(entry)
 
         assert cache.get(KEY) is None
-        assert cache.stats.quarantined == 1
+        assert cache.store.quarantined == 1
         assert not entry.exists()
         assert quarantine_dir(entry).exists()
         assert report.count(component="result-cache", action="quarantine") == 1
@@ -82,7 +82,7 @@ class TestJITArtifactCacheCorruption:
         # corrupt entry as a miss, not a crash and not a corrupt hit.
         cold = JITArtifactCache(tmp_path / "jit", report=report)
         assert cold.get("k" * 64) is None
-        assert cold.quarantined == 1
+        assert cold.disk.quarantined == 1
         assert cold.stats()["quarantined"] == 1
         assert (tmp_path / "jit" / QUARANTINE_DIR).exists()
         assert report.count(component="jit-cache", action="quarantine") == 1

@@ -199,6 +199,17 @@ class TestLoadNeverRaises:
         # The failed load must not have half-restored anything.
         assert_cold_boot(toy_app, vm)
 
+    def test_malformed_counters_quarantine(self, toy_app, trained, state_path):
+        from repro.resilience.envelope import write_json_envelope
+
+        state = {**state_to_dict(trained), "counters": {"generation": "3"}}
+        write_json_envelope(state_path, state, kind=STATE_KIND)
+        report = DegradationReport()
+        vm = EvolvableVM(toy_app)
+        assert not load_state_file(vm, state_path, report=report)
+        assert report.events[0].reason == "invalid-state"
+        assert_cold_boot(toy_app, vm)
+
     def test_eio_read_is_cold_start_without_quarantine(
         self, toy_app, state_path
     ):

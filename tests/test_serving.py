@@ -21,11 +21,13 @@ import json
 import pytest
 
 from repro.core import EvolvableVM
+from repro.core.records import state_to_dict
 from repro.experiments.telemetry import (
     TelemetryLog,
     serve_event,
     validate_event,
 )
+from repro.resilience.envelope import FileSystem
 from repro.serving import (
     FleetServer,
     ModelRegistry,
@@ -92,6 +94,31 @@ def trained(toy_app):
     return vm
 
 
+class _MemoryFS(FileSystem):
+    """Files held in a dict, so one reload per flipped bit stays cheap."""
+
+    def __init__(self, files: dict[str, bytes]):
+        self.files = dict(files)
+
+    def read_bytes(self, path):
+        try:
+            return self.files[str(path)]
+        except KeyError:
+            raise FileNotFoundError(str(path)) from None
+
+    def write_bytes_atomic(self, path, data):
+        self.files[str(path)] = bytes(data)
+
+    def exists(self, path):
+        return str(path) in self.files
+
+    def move(self, src, dst):
+        self.files[str(dst)] = self.files.pop(str(src))
+
+    def unlink(self, path):
+        self.files.pop(str(path), None)
+
+
 class TestModelRegistry:
     def test_ephemeral_registry_cold_starts_and_never_saves(self, toy_app):
         registry = ModelRegistry(None)
@@ -117,6 +144,64 @@ class TestModelRegistry:
         assert registry.generations["toy"] == 0
         assert registry.note_swap("toy") == 1
         assert registry.note_swap("toy") == 2
+
+    def test_a_swap_publishes_one_file(self, toy_app, tmp_path, monkeypatch):
+        tenant = Tenant(toy_app, registry=ModelRegistry(tmp_path),
+                        refit_interval=None)
+        for i, cmd in enumerate(TRAIN):
+            tenant.run(cmd, seed=i)
+        writes = []
+        real_write = FileSystem.write_bytes_atomic
+
+        def counting_write(fs, path, data):
+            writes.append(str(path))
+            real_write(fs, path, data)
+
+        monkeypatch.setattr(FileSystem, "write_bytes_atomic", counting_write)
+        tenant.swap()
+        assert writes == [str(tenant.registry.state_path("toy"))]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.state"]
+
+    def test_every_bit_flip_restores_the_record_or_degrades(
+        self, toy_app, tmp_path
+    ):
+        """Every bit of every file a tenant's record occupies after three
+        swaps, flipped in turn: each reload restores the saved
+        generation, rollback count and model, or records a degradation.
+        None restores a wrong counter silently."""
+        tenant = Tenant(toy_app, registry=ModelRegistry(tmp_path),
+                        refit_interval=None)
+        for i, cmd in enumerate(TRAIN):
+            tenant.run(cmd, seed=i)
+            if i % 2:
+                tenant.swap()
+        saved = (3, 0, state_to_dict(tenant.vm))
+        assert tenant.generation == 3
+        files = {str(p): p.read_bytes() for p in tmp_path.iterdir()}
+
+        def reload(files):
+            registry = ModelRegistry(tmp_path, fs=_MemoryFS(files))
+            vm = EvolvableVM(toy_app)
+            registry.load_into(vm)
+            restored = (
+                registry.generations["toy"],
+                registry.rollbacks.get("toy", 0),
+                state_to_dict(vm),
+            )
+            return restored, len(registry.report)
+
+        assert reload(files) == (saved, 0)
+        silent = []
+        for name, blob in files.items():
+            for bit in range(len(blob) * 8):
+                flipped = bytearray(blob)
+                flipped[bit // 8] ^= 1 << (bit % 8)
+                restored, degradations = reload(
+                    {**files, name: bytes(flipped)}
+                )
+                if restored != saved and not degradations:
+                    silent.append((name, bit, restored[:2]))
+        assert silent == []
 
     def test_missing_state_is_a_quiet_cold_start(self, toy_app, tmp_path):
         registry = ModelRegistry(tmp_path / "never_written")
@@ -351,6 +436,46 @@ class TestAutoSwapFailure:
         assert len(degradations) == 3
         for event in events:
             assert validate_event(event) == [], event
+
+
+@pytest.mark.serve
+class TestFailingRefitRetry:
+    def test_a_failing_swap_is_retried_once_per_refit_interval(
+        self, toy_app, monkeypatch
+    ):
+        """A refit that raises counts as the swap attempt: the tenant
+        tries again after another ``refit_interval`` runs, not after
+        every run, and its generation does not move."""
+        registry = ModelRegistry(None)
+        tenant = Tenant(toy_app, registry=registry, refit_interval=2)
+
+        def failing_refit(jobs=1):
+            raise RuntimeError("refit ran out of memory")
+
+        monkeypatch.setattr(tenant.vm.models, "refit_all", failing_refit)
+
+        async def scenario():
+            server = FleetServer([tenant], registry)
+            await server.start()
+            responses = [
+                await asyncio.wait_for(server.submit(
+                    {"op": "run", "app": "toy", "cmdline": TRAIN[i],
+                     "seed": i}
+                ), timeout=5)
+                for i in range(6)
+            ]
+            await server.stop(persist=False)
+            return responses
+
+        responses = asyncio.run(scenario())
+        assert [r["status"] for r in responses] == [200] * 6
+        assert tenant.generation == 0
+        [event] = registry.report.events
+        assert (event.component, event.action, event.reason) == (
+            "serving", "swap-failed", "RuntimeError"
+        )
+        # Runs 2, 4 and 6 made the swap due.
+        assert registry.report.occurrences(event) == 3
 
 
 class TestTcpTransport:

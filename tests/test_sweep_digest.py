@@ -9,6 +9,14 @@ pooled sweep, the serial runner, and each engine named one by one
 could quietly stop covering an engine). A change that moves it changed
 what the paper's experiments observe: commit a new value only with a
 CHANGES.md line saying what observable changed.
+
+``SWEEP_DIGEST``'s two runs never open the confidence gate: none of its
+22 Evolve runs applies a prediction. ``APPLIED_DIGEST`` pins the paper's
+proactive path, the same hash over a six-run Evolve-only sweep, where 16
+of the 66 runs start at their predicted levels (Antlr and Bloat apply
+none). It was recorded before the change that introduced it, and is
+checked under each engine by name, with a floor on the applied runs so
+the digest cannot quietly stop covering the path.
 """
 
 import dataclasses
@@ -24,8 +32,13 @@ SWEEP_DIGEST = (
     "26dbb7d18f254429195216ef758c14aa19a5e69cd7ed21d7abcafd84b4164a6d"
 )
 
+APPLIED_DIGEST = (
+    "2664a19517d466eccbc4db360f931117a3a0799799e3ab8c5989ad4ccae1560d"
+)
+
 SCENARIOS = ("default", "rep", "evolve", "phase")
 SWEEP = dict(seed=0, runs=2, scenarios=SCENARIOS)
+APPLIED = dict(seed=0, runs=6, scenarios=("evolve",))
 
 
 def _levels(strategy):
@@ -48,12 +61,12 @@ def _outcome(outcome) -> dict:
     }
 
 
-def sweep_digest(results) -> str:
+def sweep_digest(results, scenarios=SCENARIOS) -> str:
     document = [
         [result.benchmark, scenario,
          [_outcome(o) for o in getattr(result, scenario)]]
         for result in results
-        for scenario in SCENARIOS
+        for scenario in scenarios
     ]
     text = json.dumps(document, sort_keys=True, default=repr)
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
@@ -100,3 +113,12 @@ def test_every_sweep_run_stays_compiled(monkeypatch):
     monkeypatch.setattr(interpreter, "run_fast", refuse)
     monkeypatch.setattr(interpreter.Interpreter, "_loop", refuse)
     assert sweep_digest(_swept(jobs=1)) == SWEEP_DIGEST
+
+
+@pytest.mark.parametrize("engine", ["compiled", "fast", "reference"])
+def test_every_engine_reproduces_the_applied_digest(engine):
+    report = run_sweep(all_benchmarks(), **APPLIED, jobs=1, engine=engine)
+    assert report.cells_failed == 0, report.failures
+    applied = [o.applied_prediction for r in report.results for o in r.evolve]
+    assert sum(map(bool, applied)) >= 16
+    assert sweep_digest(report.results, APPLIED["scenarios"]) == APPLIED_DIGEST

@@ -134,16 +134,16 @@ class TestResultCache:
         assert cache.get(self.KEY) is None
         cache.put(self.KEY, {"outcomes": [1, 2, 3]})
         assert cache.get(self.KEY) == {"outcomes": [1, 2, 3]}
-        assert cache.stats.hits == 1
-        assert cache.stats.misses == 1
-        assert cache.stats.stores == 1
+        assert cache.store.hits == 1
+        assert cache.store.misses == 1
+        assert cache.store.stores == 1
 
     def test_corrupt_entry_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
         cache.put(self.KEY, {"ok": True})
         (tmp_path / self.KEY.filename()).write_bytes(b"not a pickle")
         assert cache.get(self.KEY) is None
-        assert cache.stats.misses == 1
+        assert cache.store.misses == 1
 
     def test_no_stray_tmp_files_after_put(self, tmp_path):
         cache = ResultCache(tmp_path)
