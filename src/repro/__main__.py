@@ -26,8 +26,7 @@ Options: ``--seed N`` (default 0), ``--runs N`` (scaled-down protocol;
 omit for the paper's full run counts), ``--jobs N`` (parallel engine;
 ``bench``, ``sweep``, ``table1``, ``fuzz``), ``--telemetry PATH`` (JSONL
 run events), ``--cache-dir PATH`` / ``--no-cache`` (on-disk result
-cache; ``sweep`` caches by default; ``--no-jit-cache`` additionally
-disables the cross-run JIT artifact cache). ``fuzz`` adds
+cache; ``sweep`` caches by default). ``fuzz`` adds
 ``--iterations N``, ``--time-budget SECONDS``, ``--corpus-dir PATH``
 (write minimized reproducers there; exit status 1 when any divergence is
 found); every program runs through the one differential matrix, every
@@ -151,11 +150,6 @@ def _build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="fuzz: write minimized reproducers (.ml + .json) to PATH",
-    )
-    parser.add_argument(
-        "--no-jit-cache",
-        action="store_true",
-        help="sweep: disable the cross-run JIT artifact cache",
     )
     parser.add_argument(
         "--strict",
@@ -409,18 +403,6 @@ def main(argv: list[str] | None = None) -> int:
         )
         telemetry = _make_telemetry(options)
         cache = _make_cache(options, default_on=True)
-        # The JIT artifact cache lives next to the result cache; workers
-        # share it across cells and sweep invocations. Disable with
-        # --no-jit-cache (or --no-cache, which turns off all disk caching).
-        jit_cache_dir = None
-        if not options.no_jit_cache and not options.no_cache:
-            import os
-
-            from .experiments.telemetry import DEFAULT_CACHE_DIR
-
-            jit_cache_dir = os.path.join(
-                options.cache_dir or DEFAULT_CACHE_DIR, "jit"
-            )
         report = run_sweep(
             benchmarks,
             jobs=options.jobs,
@@ -428,7 +410,6 @@ def main(argv: list[str] | None = None) -> int:
             runs=options.runs,
             telemetry=telemetry,
             cache=cache,
-            jit_cache_dir=jit_cache_dir,
         )
         print(format_sweep(report.results))
         print(report.describe())

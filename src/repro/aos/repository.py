@@ -81,6 +81,8 @@ class ProfileRepository:
         self._run_count = 0
         self._cached_strategy: PairStrategy | None = None
         self._cached_at_run = -1
+        #: method → (speed factor by level, compile cost by level).
+        self._tables: dict[str, tuple[dict, dict]] = {}
 
     # -- recording ---------------------------------------------------------
     def record_run(self, profile: RunProfile) -> None:
@@ -107,6 +109,19 @@ class ProfileRepository:
         return self._run_count
 
     # -- plan evaluation ---------------------------------------------------
+    def _table(self, method: str) -> tuple[dict, dict]:
+        """*method*'s speed factor and compile cost at every level. Both
+        depend only on the JIT's program and config, and the plan search
+        reads them for every pair of every plan at every bucket."""
+        table = self._tables.get(method)
+        if table is None:
+            jit = self.jit
+            table = self._tables[method] = (
+                {lvl: jit.speed_factor(method, lvl) for lvl in OPT_LEVELS},
+                {lvl: jit.compile_cost(method, lvl) for lvl in OPT_LEVELS},
+            )
+        return table
+
     def _plan_cost(self, method: str, plan: tuple[RecompilePair, ...], work: float) -> float:
         """Total virtual time for *method* doing *work* under *plan*.
 
@@ -115,7 +130,7 @@ class ProfileRepository:
         sampler's compiler-thread behaviour).
         """
         interval = self.sample_interval
-        speed = self.jit.speed_factor
+        speed, compile_cost = self._table(method)
         exec_time = 0.0
         total = 0.0
         done = 0.0
@@ -123,16 +138,16 @@ class ProfileRepository:
         for pair in plan:
             threshold_time = pair.at_sample * interval
             dt = threshold_time - exec_time
-            s = speed(method, current)
+            s = speed[current]
             dw = dt / s
             if done + dw >= work:
                 return total + (work - done) * s
             done += dw
             exec_time = threshold_time
             total += dt
-            total += self.jit.compile_cost(method, pair.level)
+            total += compile_cost[pair.level]
             current = pair.level
-        return total + (work - done) * speed(method, current)
+        return total + (work - done) * speed[current]
 
     def _expected_cost(
         self, method: str, plan: tuple[RecompilePair, ...], hist: _WorkHistogram

@@ -90,8 +90,11 @@ def _stage_state(vm: EvolvableVM, state: dict):
         type(value) is int for value in counters.values()
     ):
         raise ValueError(f"malformed counters {counters!r}")
+    methods = state["methods"]
+    if not isinstance(methods, dict):
+        raise ValueError(f"malformed methods: {type(methods).__name__}")
     observations: list[tuple[FeatureVector, LevelStrategy]] = []
-    for method, payload in state["methods"].items():
+    for method, payload in methods.items():
         columns = payload["columns"]
         kinds = [FeatureKind(kind) for kind in payload["kinds"]]
         for row in payload["rows"]:

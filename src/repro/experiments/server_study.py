@@ -234,7 +234,7 @@ def main(seed: int = 0, requests: int = 120) -> str:
 
 #: Tenant profiles: (name, endpoint-mix weights). Same handler program,
 #: different traffic shapes — so every tenant learns a *different*
-#: input→strategy mapping while sharing the fleet's JIT artifact cache.
+#: input→strategy mapping while sharing the fleet's JIT artifact layer.
 TENANT_PROFILES: tuple[tuple[str, tuple[int, int, int]], ...] = (
     ("search-svc", (8, 1, 1)),
     ("render-svc", (1, 7, 2)),

@@ -14,13 +14,11 @@ invariants the repo promises (``docs/robustness.md``):
    loader produces a quarantine + fallback, observable in the
    :class:`~repro.resilience.degradation.DegradationReport`.
 
-Four pillars are exercised per iteration: evolvable-VM state
-(save → corrupt? → load → run), the sweep result cache, the JIT artifact
-cache (fed seeded programs from the differential-fuzz generator — the
-same machinery as ``repro fuzz``), and the telemetry JSONL log.
-Periodically an iteration also runs a whole sweep under a
-:class:`~repro.resilience.faults.WorkerFaultPlan` to exercise the
-retry/re-execution path end to end.
+Three pillars are exercised per iteration: evolvable-VM state
+(save → corrupt? → load → run), the sweep result cache, and the
+telemetry JSONL log. Periodically an iteration also runs a whole sweep
+under a :class:`~repro.resilience.faults.WorkerFaultPlan` to exercise
+the retry/re-execution path end to end.
 
 Everything is a pure function of ``(seed, iteration)``, so any reported
 violation replays exactly.
@@ -47,16 +45,9 @@ from ..experiments.telemetry import (
     cell_event,
     read_events,
 )
-from ..lang.compiler import compile_source
 from ..scenarios.drift import DriftSpec, get_drift_spec
 from ..serving.registry import ModelRegistry
 from ..serving.tenant import Tenant
-from ..testing.differential import FUZZ_CONFIG
-from ..testing.generator import generate
-from ..vm.errors import ExecutionError
-from ..vm.interpreter import Interpreter
-from ..vm.opt.artifact_cache import JITArtifactCache
-from ..vm.opt.jit import JITCompiler
 from .degradation import DegradationReport
 from .faults import FaultPlan, FaultyFS, WorkerFaultPlan
 
@@ -140,7 +131,6 @@ class _Reference:
     cold_post: tuple                # (result, cycles) from empty records
     cache_payload: dict
     cache_key: CacheKey
-    programs: list[tuple]           # (program, args, result_repr, cycles)
     sweep_signature: tuple
     #: Non-stationary schedule in force (None = stationary campaign).
     drift_spec: DriftSpec | None = None
@@ -161,7 +151,6 @@ def _build_reference(
     seed: int,
     benchmark: str,
     runs: int,
-    fuzz_programs: int,
     drift_spec: DriftSpec | None = None,
 ) -> _Reference:
     bench = get_benchmark(benchmark)
@@ -190,7 +179,6 @@ def _build_reference(
         cold_post=(),
         cache_payload={"benchmark": benchmark, "cycles": tuple(run_cycles)},
         cache_key=CacheKey("chaos", "state", 0, runs, seed, "chaos-ref"),
-        programs=[],
         sweep_signature=(),
         drift_spec=drift_spec,
     )
@@ -202,30 +190,6 @@ def _build_reference(
     reference.warm_post = _post_run(warm, reference)
     # Cold post-run: the degraded path — empty records, reactive default.
     reference.cold_post = _post_run(EvolvableVM(app), reference)
-
-    # Seeded fuzz programs (same generator as ``repro fuzz``); skip the
-    # rare case that faults deterministically — chaos wants clean
-    # references so every divergence is attributable to the cache.
-    index = 0
-    while len(reference.programs) < fuzz_programs and index < 50:
-        case = generate(seed, index)
-        index += 1
-        program = compile_source(case.source)
-        jit = JITCompiler(program, FUZZ_CONFIG)
-        interp = Interpreter(
-            program,
-            config=FUZZ_CONFIG,
-            rng_seed=0,
-            jit=jit,
-            first_invocation_hook=lambda name: 2,
-        )
-        try:
-            profile = interp.run(case.args)
-        except ExecutionError:
-            continue
-        reference.programs.append(
-            (program, case.args, repr(interp.result), profile.total_cycles)
-        )
 
     fault_free = run_sweep(
         [bench], jobs=1, seed=seed, runs=runs,
@@ -383,43 +347,6 @@ def _check_result_cache_pillar(
                 ("corruption-not-detected",
                  "result-cache entry was corrupted yet served as a hit")
             )
-
-
-def _check_jit_cache_pillar(
-    reference: _Reference,
-    fs: FaultyFS,
-    report: DegradationReport,
-    root: Path,
-    violations: list[str],
-) -> None:
-    for prog_index, (program, args, ref_result, ref_cycles) in enumerate(
-        reference.programs
-    ):
-        cache_dir = root / f"jit{prog_index}"
-        # Cold pass writes artifacts (possibly corrupted on the way out);
-        # the second cache instance reads them back from disk (quarantine
-        # or hit). Either way the virtual clock must not move.
-        for attempt in range(2):
-            cache = JITArtifactCache(cache_dir, fs=fs, report=report)
-            jit = JITCompiler(program, FUZZ_CONFIG, artifact_cache=cache)
-            interp = Interpreter(
-                program,
-                config=FUZZ_CONFIG,
-                rng_seed=0,
-                jit=jit,
-                first_invocation_hook=lambda name: 2,
-            )
-            profile = interp.run(args)
-            if (
-                repr(interp.result) != ref_result
-                or profile.total_cycles != ref_cycles
-            ):
-                violations.append(
-                    ("divergence",
-                     f"program {prog_index} pass {attempt}: "
-                     f"({interp.result!r}, {profile.total_cycles}) != "
-                     f"({ref_result}, {ref_cycles})")
-                )
 
 
 def _check_telemetry_pillar(
@@ -581,7 +508,6 @@ def run_chaos(
     *,
     benchmark: str = "Search",
     runs: int = 3,
-    fuzz_programs: int = 2,
     sweep_every: int = 5,
     workdir: str | None = None,
     drift: bool = False,
@@ -599,9 +525,7 @@ def run_chaos(
     report = ChaosReport(
         seed=seed, iterations=iterations, benchmark=benchmark, drift=drift
     )
-    reference = _build_reference(
-        seed, benchmark, runs, fuzz_programs, drift_spec=drift_spec
-    )
+    reference = _build_reference(seed, benchmark, runs, drift_spec=drift_spec)
 
     for iteration in range(iterations):
         iteration_seed = seed * 99_991 + iteration
@@ -618,7 +542,6 @@ def run_chaos(
                 _check_result_cache_pillar(
                     reference, fs, degradation, root, found
                 )
-                _check_jit_cache_pillar(reference, fs, degradation, root, found)
                 _check_telemetry_pillar(fs, degradation, root, found)
                 if drift:
                     _check_rollback_pillar(

@@ -32,7 +32,7 @@ class DegradationEvent:
     """One recorded fallback decision (unique per dedupe key)."""
 
     #: Which subsystem degraded: ``state`` / ``result-cache`` /
-    #: ``jit-cache`` / ``telemetry`` / ``sweep`` / ``serving``.
+    #: ``telemetry`` / ``sweep`` / ``serving``.
     component: str
     #: What it did instead of failing: ``quarantine`` / ``cold-start`` /
     #: ``cache-miss`` / ``store-failed`` / ``drop-event`` / ``skip-line`` /

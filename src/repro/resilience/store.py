@@ -1,8 +1,10 @@
-"""One keyed store for regenerable entries: the caches' disk policy.
+"""One keyed store for regenerable entries: the cache-entry disk policy.
 
-The sweep result cache and the JIT artifact cache keep entries that can
-always be recomputed, one pickled payload per file under one directory.
-This is the only implementation of their policy:
+The sweep result cache keeps entries that can always be recomputed, one
+pickled payload per file under one directory. (JIT artifacts are cheaper
+to recompile than to read back, so they are not persisted at all; see
+:mod:`repro.vm.opt.artifact_cache`.) This is the only implementation of
+the policy:
 
 - **get** verifies the entry's envelope. A corrupt entry (torn,
   bit-flipped, wrong kind, unpicklable) is quarantined, recorded as
@@ -12,8 +14,7 @@ This is the only implementation of their policy:
   failure is recorded as ``<component>/store-failed`` and costs a
   recompute later, never correctness.
 
-Its counters feed ``repro sweep``'s ``cache:`` line and
-``JITArtifactCache.stats()``.
+Its counters feed ``repro sweep``'s ``cache:`` line.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .quarantine import quarantine_file
 
 class EntryStore:
     """Immutable pickled entries of one envelope *kind* under *root*;
-    *component* (``result-cache``, ``jit-cache``) names it in
-    degradation records."""
+    *component* (``result-cache``) names it in degradation records."""
 
     def __init__(
         self,

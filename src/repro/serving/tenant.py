@@ -24,10 +24,11 @@ lone predict is a batch of one. Nothing is memoized across hops, so an
 answer always comes from the live forest — including trees a drift
 firing refit inside :meth:`Tenant.run`.
 
-Tenants share one cache fleet-wide, the **JIT artifact cache**
+Tenants share one in-memory layer fleet-wide, the **JIT artifact layer**
 (:mod:`repro.vm.opt.artifact_cache`): every tenant's compiler publishes
-into one store, so a method shape compiled for one tenant warms every
-other tenant with the same program.
+into it, so a method shape compiled for one tenant warms every other
+tenant with the same program, and artifacts with equal code share one
+closure.
 """
 
 from __future__ import annotations

@@ -330,6 +330,11 @@ class Interpreter:
         prof.allocation_count = heap.stats.allocation_count
         prof.peak_live_bytes = heap.stats.peak_live_bytes
         self.result = result
+        # A listener (an AOS controller) holds this interpreter; kept, it
+        # would leave every finished run a reference cycle, holding the
+        # run's heap, JIT and artifact layer until the cyclic collector
+        # next runs.
+        self.sampler.clear_listeners()
 
     def _loop(self):
         """The dispatch loop. Localizes hot state for speed."""

@@ -84,11 +84,9 @@ class CompiledCode:
         # the artifact (repro.vm.fastpath.ensure_decoded), and the compiled
         # tier memoizes its generated closure/unsupported-reason
         # (repro.vm.closures.ensure_closure); strip every memo when
-        # pickling. Beyond compactness this is load-bearing for the
-        # serving fleet: artifacts round-trip through the shared
-        # JITArtifactCache across hot model swaps, and a pickled closure
-        # would either fail to serialize or resurrect stale generated
-        # code after a cache invalidation. The closure is rebuilt from
+        # pickling. Beyond compactness this is load-bearing: a pickled
+        # closure would either fail to serialize or resurrect stale
+        # generated code in another process. The closure is rebuilt from
         # the artifact itself.
         state = dict(self.__dict__)
         state.pop("_decoded", None)
@@ -108,12 +106,14 @@ class JITCompiler:
     differential fuzzing harness uses this to compile the same program
     under single-pass configurations.
 
-    *artifact_cache* optionally plugs in a cross-run
-    :class:`~repro.vm.opt.artifact_cache.JITArtifactCache`: artifacts are
-    looked up there (keyed by method/program digests, level, config, and
-    pass pipeline) before compiling, and published there after. Virtual
-    compile cycles are charged identically on hit and miss — the cache
-    only saves host wall-clock.
+    *artifact_cache* optionally plugs in a shared
+    :class:`~repro.vm.opt.artifact_cache.JITArtifactCache` layer:
+    artifacts are looked up there (keyed by method/program digests, level,
+    config, and pass pipeline) before compiling, and published there
+    after. Virtual compile cycles are charged identically on hit and miss
+    — the layer only saves host time. :attr:`closures` is the
+    compiled-tier closure memo (:func:`repro.vm.closures.ensure_closure`):
+    the layer's, or the compiler's own when it has none.
     """
 
     def __init__(
@@ -127,6 +127,9 @@ class JITCompiler:
         self.config = config
         self.tier_passes = tier_passes
         self.artifact_cache = artifact_cache
+        self.closures: dict[tuple, object] = (
+            artifact_cache.closures if artifact_cache is not None else {}
+        )
         self._cache: dict[tuple[str, int], CompiledCode] = {}
         self._optimizability: dict[str, float] = {}
         self._program_digest: str | None = None

@@ -25,31 +25,34 @@ from ..ir import CodeBuffer
 def _find_sites(buf: CodeBuffer, ctx: PassContext) -> list[int]:
     """pcs of ``CALL self; RET`` pairs safe to rewrite."""
     code = buf.instrs
+    name = ctx.method.name
+    candidates = [
+        pc
+        for pc in range(len(code) - 1)
+        if code[pc].op == Op.CALL
+        and code[pc].arg[0] == name
+        and code[pc + 1].op == Op.RET
+    ]
+    # Both dataflows below cost far more than this scan, and most
+    # methods have no self tail call at all.
+    if not candidates:
+        return []
     # Frame reuse skips the zero-initialization of fresh locals; require
     # the write-before-read discipline that makes that unobservable.
     if not locals_write_before_read(code, ctx.method.num_params):
         return []
     try:
-        depths = stack_depths(code, ctx.method.name)
+        depths = stack_depths(code, name)
     except VerificationError:
         return []  # malformed mid-pipeline shape; skip conservatively
     targets = buf.jump_targets()
-    sites = []
-    for pc in range(len(code) - 1):
-        ins = code[pc]
-        if ins.op != Op.CALL:
-            continue
-        callee, argc = ins.arg
-        if callee != ctx.method.name:
-            continue
-        if code[pc + 1].op != Op.RET:
-            continue
-        if (pc + 1) in targets:
-            continue  # the RET is also reached with a non-call value
-        if depths.get(pc) != argc:
-            continue  # live operands below the arguments
-        sites.append(pc)
-    return sites
+    return [
+        pc
+        for pc in candidates
+        # The RET must not also be reached with a non-call value, and no
+        # live operands may sit below the arguments.
+        if (pc + 1) not in targets and depths.get(pc) == code[pc].arg[1]
+    ]
 
 
 def eliminate_tail_calls(buf: CodeBuffer, ctx: PassContext) -> bool:

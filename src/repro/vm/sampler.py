@@ -41,6 +41,9 @@ class Sampler:
     def add_listener(self, listener: SampleListener) -> None:
         self._listeners.append(listener)
 
+    def clear_listeners(self) -> None:
+        self._listeners.clear()
+
     @property
     def has_listeners(self) -> bool:
         """True when at least one listener must be notified per sample.

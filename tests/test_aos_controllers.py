@@ -1,5 +1,8 @@
 """Unit tests for AOS controllers and the Rep profile repository."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.aos import (
@@ -40,6 +43,26 @@ class TestAdaptiveController:
         profile = interp.run((3,))
         # Too little work to justify any recompilation.
         assert all(level == -1 for level in profile.final_levels.values())
+
+    def test_a_finished_run_is_freed_without_the_cyclic_collector(
+        self, hot_program
+    ):
+        # The controller holds the interpreter; a finished run detaches
+        # it, so the run (and the JIT it holds) goes with its last
+        # reference instead of waiting for a collection.
+        def run():
+            interp = Interpreter(hot_program)
+            AdaptiveController(interp)
+            interp.run((200,))
+            assert not interp.sampler.has_listeners
+            return weakref.ref(interp), weakref.ref(interp.jit)
+
+        gc.disable()
+        try:
+            refs = run()
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestPairPlanController:

@@ -18,20 +18,20 @@ from repro.scenarios.drift import get_drift_spec
 
 @pytest.fixture(scope="module")
 def reference():
-    return _build_reference(0, "Search", 2, 1)
+    return _build_reference(0, "Search", 2)
 
 
 @pytest.fixture(scope="module")
 def drift_reference():
     return _build_reference(
-        0, "Search", 3, 1, drift_spec=get_drift_spec("abrupt")
+        0, "Search", 3, drift_spec=get_drift_spec("abrupt")
     )
 
 
 class TestRunChaos:
     def test_campaign_holds_invariants(self, tmp_path):
         report = run_chaos(
-            seed=0, iterations=6, runs=2, fuzz_programs=1,
+            seed=0, iterations=6, runs=2,
             sweep_every=3, workdir=str(tmp_path),
         )
         assert report.ok, [v.describe() for v in report.violations]
@@ -44,7 +44,7 @@ class TestRunChaos:
 
     def test_same_seed_same_campaign(self, tmp_path):
         kwargs = dict(
-            iterations=3, runs=2, fuzz_programs=1, sweep_every=0,
+            iterations=3, runs=2, sweep_every=0,
             workdir=str(tmp_path),
         )
         a = run_chaos(seed=5, **kwargs)
@@ -102,7 +102,7 @@ class TestDriftChaos:
 
     def test_drift_campaign_holds_invariants(self, tmp_path):
         report = run_chaos(
-            seed=0, iterations=3, runs=3, fuzz_programs=1,
+            seed=0, iterations=3, runs=3,
             sweep_every=2, workdir=str(tmp_path), drift=True,
         )
         assert report.ok, [v.describe() for v in report.violations]

@@ -365,3 +365,51 @@ class TestInlining:
             inline_budget=0,
         )
         assert not inline_calls(buf, ctx)
+
+
+class TestTailCallScan:
+    """The tail-call pass runs its two dataflows only on a method that
+    has a ``CALL self; RET`` pair to rewrite."""
+
+    SOURCE = """
+    fn fact(n) { if (n <= 1) { return 1; } return n * fact(n - 1); }
+    fn loop(n, acc) {
+      if (n <= 0) { return acc; }
+      return loop(n - 1, acc + n);
+    }
+    fn main() {
+      var s = 0;
+      for (var i = 0; i < 4; i = i + 1) { s = s + fact(i); }
+      return s + loop(3, 0);
+    }
+    """
+
+    def run(self, monkeypatch, method_name):
+        from repro.vm.opt.passes import eliminate_tail_calls, tail_call
+
+        calls = []
+        for name in ("locals_write_before_read", "stack_depths"):
+            real = getattr(tail_call, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(tail_call, name, counted)
+        program = compile_source(self.SOURCE)
+        method = program.method(method_name)
+        ctx = PassContext(
+            program=program, method=method, num_locals=method.num_locals
+        )
+        return eliminate_tail_calls(CodeBuffer(method.code), ctx), calls
+
+    @pytest.mark.parametrize("method_name", ["fact", "main"])
+    def test_no_self_tail_call_runs_no_dataflow(
+        self, monkeypatch, method_name
+    ):
+        assert self.run(monkeypatch, method_name) == (False, [])
+
+    def test_a_self_tail_call_runs_both(self, monkeypatch):
+        assert self.run(monkeypatch, "loop") == (
+            True, ["locals_write_before_read", "stack_depths"]
+        )

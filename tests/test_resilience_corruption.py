@@ -1,7 +1,7 @@
 """Per-artifact corruption tests: every persisted artifact type degrades.
 
 The acceptance bar for the crash-safe layer: corrupting any persisted
-artifact — result-cache entry, JIT artifact, telemetry log tail — by
+artifact — result-cache entry, telemetry log tail — by
 truncation or bit flip yields quarantine + graceful fallback, never an
 exception and never a wrong result. (VM state files are covered in
 ``test_resilience_records.py``.)
@@ -18,7 +18,6 @@ from repro.experiments.telemetry import (
 )
 from repro.resilience.degradation import DegradationReport
 from repro.resilience.quarantine import QUARANTINE_DIR, quarantine_dir
-from repro.vm.opt.artifact_cache import JITArtifactCache
 
 KEY = CacheKey("Search", "default", 0, 8, 11, "abc123")
 PAYLOAD = {"outcomes": [1, 2, 3], "wall_s": 0.5}
@@ -64,37 +63,6 @@ class TestResultCacheCorruption:
         cache.put(KEY, PAYLOAD)
         write_envelope(cache._path(KEY), b"x", kind="vm-state")
         assert cache.get(KEY) is None
-
-
-class TestJITArtifactCacheCorruption:
-    def _warm(self, tmp_path, report=None):
-        cache = JITArtifactCache(tmp_path / "jit", report=report)
-        cache.put("k" * 64, {"speed_factor": 2.0, "compile_cycles": 100.0})
-        return cache
-
-    @pytest.mark.parametrize("corrupt", CORRUPTORS)
-    def test_corrupt_artifact_quarantines_and_misses(self, tmp_path, corrupt):
-        report = DegradationReport()
-        self._warm(tmp_path, report)
-        corrupt(tmp_path / "jit" / f"{'k' * 64}.pkl")
-
-        # A fresh cache instance (new process, cold memory) must treat the
-        # corrupt entry as a miss, not a crash and not a corrupt hit.
-        cold = JITArtifactCache(tmp_path / "jit", report=report)
-        assert cold.get("k" * 64) is None
-        assert cold.disk.quarantined == 1
-        assert cold.stats()["quarantined"] == 1
-        assert (tmp_path / "jit" / QUARANTINE_DIR).exists()
-        assert report.count(component="jit-cache", action="quarantine") == 1
-
-    def test_reput_after_quarantine_serves_again(self, tmp_path):
-        self._warm(tmp_path)
-        truncate(tmp_path / "jit" / f"{'k' * 64}.pkl")
-        cold = JITArtifactCache(tmp_path / "jit")
-        assert cold.get("k" * 64) is None
-        cold.put("k" * 64, {"speed_factor": 2.0})
-        colder = JITArtifactCache(tmp_path / "jit")
-        assert colder.get("k" * 64) == {"speed_factor": 2.0}
 
 
 class TestTelemetryTailCorruption:

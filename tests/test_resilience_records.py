@@ -210,6 +210,39 @@ class TestLoadNeverRaises:
         assert report.events[0].reason == "invalid-state"
         assert_cold_boot(toy_app, vm)
 
+    def test_legacy_state_with_non_object_methods_quarantines(
+        self, tmp_path
+    ):
+        # A plain-JSON state (the legacy, pre-envelope format) whose
+        # "methods" is a list, not an object.
+        from repro.bench import get_benchmark
+        from repro.serving import ModelRegistry, Tenant
+
+        app, _ = get_benchmark("Search").build(seed=0)
+        registry = ModelRegistry(tmp_path)
+        path = registry.state_path("Search")
+        legacy = {
+            "format": 1, "application": "Search", "confidence": 0.5,
+            "run_count": 1, "methods": [],
+        }
+        path.write_text(json.dumps(legacy))
+
+        report = DegradationReport()
+        assert not load_state_file(
+            EvolvableVM(app), str(path), report=report
+        )
+        assert not path.exists()
+        assert quarantine_dir(str(path)).exists()
+        assert [
+            e.reason for e in report.events
+            if (e.component, e.action) == ("state", "cold-start")
+        ] == ["invalid-state"]
+
+        path.write_text(json.dumps(legacy))
+        tenant = Tenant(app, registry=registry, refit_interval=None)
+        assert tenant.generation == 0
+        assert registry.cold_started == ["Search"]
+
     def test_eio_read_is_cold_start_without_quarantine(
         self, toy_app, state_path
     ):

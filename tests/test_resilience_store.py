@@ -1,9 +1,9 @@
-"""The cache-entry policy, checked once through each cache that uses it.
+"""The cache-entry policy, checked through the cache that uses it.
 
-Both the sweep result cache and the JIT artifact cache's disk layer keep
-their entries in one :class:`~repro.resilience.store.EntryStore`. The
-read side (quarantine + miss on corruption) is covered per artifact in
-``test_resilience_corruption.py``; these tests pin the write side.
+The sweep result cache keeps its entries in one
+:class:`~repro.resilience.store.EntryStore`. The read side (quarantine +
+miss on corruption) is covered in ``test_resilience_corruption.py``;
+these tests pin the write side.
 """
 
 import pytest
@@ -11,7 +11,6 @@ import pytest
 from repro.experiments.telemetry import CacheKey, ResultCache
 from repro.resilience.degradation import DegradationReport
 from repro.resilience.faults import FaultPlan, FaultyFS
-from repro.vm.opt.artifact_cache import JITArtifactCache
 
 
 def result_cache(root, **kwargs):
@@ -19,14 +18,7 @@ def result_cache(root, **kwargs):
     return cache, CacheKey("Search", "default", 0, 8, 11, "abc123"), cache.store
 
 
-def jit_cache(root, **kwargs):
-    cache = JITArtifactCache(root, **kwargs)
-    return cache, "k" * 64, cache.disk
-
-
-CACHES = pytest.mark.parametrize(
-    "make", [result_cache, jit_cache], ids=["result-cache", "jit-cache"]
-)
+CACHES = pytest.mark.parametrize("make", [result_cache], ids=["result-cache"])
 
 
 @CACHES
