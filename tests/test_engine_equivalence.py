@@ -378,9 +378,10 @@ def test_adaptive_callee_without_closure_deoptimizes(deopts):
     from repro.vm.closures import ClosureUnsupported, ensure_closure
 
     program = compile_source(NO_CLOSURE_SRC)
-    pick = JITCompiler(program, DEFAULT_CONFIG).compile("pick", -1)
+    jit = JITCompiler(program, DEFAULT_CONFIG)
+    pick = jit.compile("pick", -1)
     with pytest.raises(ClosureUnsupported):
-        ensure_closure(pick, program)
+        ensure_closure(pick, jit)
     report = _adaptive_matrix(program, (400,), FUZZ_CONFIG)
     outcome = report.outcomes["adaptive:compiled"]
     assert outcome.kind == "ok"
@@ -559,8 +560,8 @@ def test_ensure_closure_memoizes_and_pickles_clean():
     program = compile_source(HOT_SRC)
     jit = JITCompiler(program, DEFAULT_CONFIG)
     compiled = jit.compile("main", 2)
-    first = ensure_closure(compiled, program)
-    assert ensure_closure(compiled, program) is first
+    first = ensure_closure(compiled, jit)
+    assert ensure_closure(compiled, jit) is first
     # The hot-swap staleness guarantee: artifacts round-tripping through
     # the shared JIT artifact cache must never resurrect a generated
     # function object.

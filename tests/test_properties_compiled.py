@@ -103,7 +103,7 @@ def test_unsupported_shape_routes_to_fallback_identically():
     jit = JITCompiler(program, DEFAULT_CONFIG)
     compiled = jit.compile("main", -1)
     try:
-        ensure_closure(compiled, program)
+        ensure_closure(compiled, jit)
         raised = False
     except ClosureUnsupported:
         raised = True
